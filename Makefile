@@ -1,11 +1,12 @@
 # Verification targets. `make ci` is the full gate: lint (vet + strict
 # gofmt), build, the whole test suite under the race detector, the
 # randomized fault soak, the distributed-sweep chaos campaign, the fuzz
-# seed corpora (in regression mode), and the golden-file checks.
+# seed corpora (in regression mode), the golden-file checks, and the
+# benchmark module's vet and self-test.
 
 GO ?= go
 
-.PHONY: all build vet lint test race soak chaos fuzz-regression fuzz bench benchdiff golden-update ci
+.PHONY: all build vet lint test race soak chaos fuzz-regression perfbench-check fuzz bench benchdiff golden-update ci
 
 all: ci
 
@@ -59,6 +60,12 @@ fuzz-regression:
 	$(GO) test ./internal/addr/ -run 'Fuzz'
 	$(GO) test ./internal/scheme/ -run 'Fuzz'
 
+# The benchmark harness is a nested module, so the root build and vet never
+# compile it; vet and self-test it here so a root API change cannot break
+# the benchmark unseen.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Active fuzzing (not part of ci; run locally when touching the parsers).
 FUZZTIME ?= 30s
 fuzz:
@@ -99,4 +106,4 @@ golden-update:
 	$(GO) test ./cmd/hmreport/ -update
 	$(GO) test ./internal/workload/ -run TestGeneratorGolden -update
 
-ci: lint build race soak chaos fuzz-regression
+ci: lint build race soak chaos fuzz-regression perfbench-check

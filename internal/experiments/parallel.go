@@ -91,13 +91,21 @@ func forEachIndex(ctx context.Context, n, workers int, fn func(i int) error) err
 				err := func() (err error) {
 					defer func() {
 						if r := recover(); r != nil {
-							buf := make([]byte, 64<<10)
-							buf = buf[:runtime.Stack(buf, false)]
+							// Publish before the slow stack capture so the
+							// other workers stop claiming at once. The stack
+							// is written before this worker's wg.Done, which
+							// the final read happens-after.
+							p := &workerPanic{value: r}
 							mu.Lock()
-							if panicked == nil {
-								panicked = &workerPanic{value: r, stack: buf}
+							first := panicked == nil
+							if first {
+								panicked = p
 							}
 							mu.Unlock()
+							if first {
+								buf := make([]byte, 64<<10)
+								p.stack = buf[:runtime.Stack(buf, false)]
+							}
 							err = fmt.Errorf("experiments: worker panic: %v", r)
 						}
 					}()

@@ -182,20 +182,46 @@ func TestForEachIndexPanicPropagates(t *testing.T) {
 	}
 }
 
+// gateOpener is a panic value whose String method opens gate. forEachIndex
+// formats the recovered value only after publishing the panic, so once the
+// gate is open no worker can claim another item.
+type gateOpener struct {
+	once sync.Once
+	gate chan struct{}
+}
+
+func (g *gateOpener) String() string {
+	g.once.Do(func() { close(g.gate) })
+	return "stop"
+}
+
 func TestForEachIndexPanicCancelsRemainingWork(t *testing.T) {
+	const workers = 4
+	stop := &gateOpener{gate: make(chan struct{})}
 	var after atomic.Int64
 	func() {
 		defer func() { _ = recover() }()
-		_ = forEachIndex(context.Background(), 10000, 4, func(i int) error {
-			if i == 5 {
-				panic("stop")
+		_ = forEachIndex(context.Background(), 10000, workers, func(i int) error {
+			switch {
+			case i == 5:
+				panic(stop)
+			case i > 5:
+				// Hold every later item until the panic is published, so
+				// the other workers cannot drain the queue first however
+				// fast they run. The timeout only turns a hang into a
+				// failure.
+				select {
+				case <-stop.gate:
+				case <-time.After(10 * time.Second):
+				}
 			}
 			after.Add(1)
 			return nil
 		})
 	}()
-	if after.Load() >= 10000-1 {
-		t.Fatalf("panic did not cancel the sweep: %d items ran", after.Load())
+	// Items 0-4 plus at most one held item per other worker.
+	if n := after.Load(); n > 5+workers-1 {
+		t.Fatalf("panic did not cancel the sweep: %d items ran", n)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"heteromem/internal/addr"
-	"heteromem/internal/core"
 	"heteromem/internal/fault"
 	"heteromem/internal/obs"
 	"heteromem/internal/power"
@@ -68,9 +67,10 @@ type Hub struct {
 }
 
 // NewHub builds the hub. With hubCfg.Channels <= 1 the result wraps exactly
-// one Controller built from cfg unchanged. With N > 1, cfg.Geometry is
-// split N ways (capacities divide, device structure per shard unchanged)
-// and cfg.Obs/cfg.Power must be unset — per-shard instruments come from
+// one Controller built from cfg, with HubConfig's instruments (when given)
+// in place of cfg.Obs/cfg.Power. With N > 1, cfg.Geometry is split N ways
+// (capacities divide, device structure per shard unchanged) and
+// cfg.Obs/cfg.Power must be unset — per-shard instruments come from
 // HubConfig so shards never share mutable state. onResult, when non-nil,
 // observes every completed access; under sharding its AccessResult carries
 // the globalized physical address and the shard-local machine address.
@@ -79,7 +79,19 @@ func NewHub(cfg Config, hubCfg HubConfig, onResult func(AccessResult)) (*Hub, er
 	if n <= 0 {
 		n = 1
 	}
+	if hubCfg.ShardObs != nil && len(hubCfg.ShardObs) != n {
+		return nil, fmt.Errorf("memctrl: ShardObs has %d registries for %d channels", len(hubCfg.ShardObs), n)
+	}
+	if hubCfg.ShardPower != nil && len(hubCfg.ShardPower) != n {
+		return nil, fmt.Errorf("memctrl: ShardPower has %d meters for %d channels", len(hubCfg.ShardPower), n)
+	}
 	if n == 1 {
+		if hubCfg.ShardObs != nil {
+			cfg.Obs = hubCfg.ShardObs[0]
+		}
+		if hubCfg.ShardPower != nil {
+			cfg.Power = hubCfg.ShardPower[0]
+		}
 		ctrl, err := New(cfg, onResult)
 		if err != nil {
 			return nil, err
@@ -112,12 +124,6 @@ func NewHub(cfg Config, hubCfg HubConfig, onResult func(AccessResult)) (*Hub, er
 	}
 	if cfg.Obs != nil || cfg.Power != nil {
 		return nil, fmt.Errorf("memctrl: sharded hub requires per-shard instruments (HubConfig.ShardObs/ShardPower), not shared Config.Obs/Power")
-	}
-	if hubCfg.ShardObs != nil && len(hubCfg.ShardObs) != n {
-		return nil, fmt.Errorf("memctrl: ShardObs has %d registries for %d channels", len(hubCfg.ShardObs), n)
-	}
-	if hubCfg.ShardPower != nil && len(hubCfg.ShardPower) != n {
-		return nil, fmt.Errorf("memctrl: ShardPower has %d meters for %d channels", len(hubCfg.ShardPower), n)
 	}
 	shardGeom, err := cfg.Geometry.Shard(n)
 	if err != nil {
@@ -168,8 +174,8 @@ func (h *Hub) Mapping() *addr.Mapping { return h.iv.Mapping() }
 // channel).
 func (h *Hub) HopLatency() int64 { return h.hop }
 
-// Shard exposes channel i's controller (the sim's barrier workers drive
-// shards directly with pre-routed records).
+// Shard exposes channel i's controller (the sim's executors drive shards
+// directly with pre-routed records).
 func (h *Hub) Shard(i int) *Controller { return h.ctrls[i] }
 
 // Route decodes the channel and shard-local address of a physical address.
@@ -210,15 +216,6 @@ func (h *Hub) Err() error {
 		if err := c.Err(); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// Migrator exposes the migration engine of a single-channel hub; a sharded
-// hub has one migrator per shard (see Shard) and returns nil.
-func (h *Hub) Migrator() *core.Migrator {
-	if h.single != nil {
-		return h.single.Migrator()
 	}
 	return nil
 }

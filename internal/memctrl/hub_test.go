@@ -7,6 +7,7 @@ import (
 
 	"heteromem/internal/core"
 	"heteromem/internal/obs"
+	"heteromem/internal/power"
 )
 
 // hubConfig is smallConfig with migration on, so the sharded tests exercise
@@ -220,8 +221,13 @@ func TestHubValidation(t *testing.T) {
 	if _, err := NewHub(cfg, HubConfig{Channels: 2, Interleave: cfg.Geometry.MacroPageSize / 2}, nil); err == nil {
 		t.Fatal("sub-page interleave accepted")
 	}
-	if _, err := NewHub(cfg, HubConfig{Channels: 2, ShardObs: []*obs.Registry{obs.NewRegistry()}}, nil); err == nil {
-		t.Fatal("short ShardObs accepted")
+	for _, n := range []int{1, 2} {
+		if _, err := NewHub(cfg, HubConfig{Channels: n, ShardObs: make([]*obs.Registry, n+1)}, nil); err == nil {
+			t.Fatalf("channels=%d: mis-sized ShardObs accepted", n)
+		}
+		if _, err := NewHub(cfg, HubConfig{Channels: n, ShardPower: make([]*power.Meter, n+1)}, nil); err == nil {
+			t.Fatalf("channels=%d: mis-sized ShardPower accepted", n)
+		}
 	}
 	bad := cfg
 	bad.Geometry.OnPackageCapacity = cfg.Geometry.MacroPageSize // one stripe cannot split 4 ways

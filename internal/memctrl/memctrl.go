@@ -1393,10 +1393,3 @@ func (c *Controller) ResetStats() {
 		c.cfg.Power.Reset()
 	}
 }
-
-// DebugState summarizes live scheduler state; used by diagnostic tools.
-func (c *Controller) DebugState() string {
-	return fmt.Sprintf("onQ=%d onBulk=%d offQ=%d offBulk=%d onBus0=%d onBus1=%d offBus0=%d stall=%d swap=%v",
-		c.onSch.QueueLen(), c.onSch.BulkBacklog(), c.offSch.QueueLen(), c.offSch.BulkBacklog(),
-		c.onDev.BusFree(0), c.onDev.BusFree(1), c.offDev.BusFree(0), c.stallUntil, c.mig != nil && c.mig.SwapInFlight())
-}

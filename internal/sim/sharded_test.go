@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"heteromem/internal/core"
+	"heteromem/internal/trace"
 	"heteromem/internal/workload"
 )
 
@@ -177,26 +178,55 @@ func TestShardedBarrierWindowInvariance(t *testing.T) {
 		}
 		return canonical(t, res)
 	}()
+	defer func() { barrierWindowHook = 0 }()
 	for _, window := range []int64{1, 64, 100_000, 1 << 30} {
-		cfg := base
-		cfg.BarrierWindow = window
+		barrierWindowHook = window
 		gen, err := workload.NewMemory("pgbench", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(gen, cfg)
+		res, err := Run(gen, base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := canonical(t, res); !bytes.Equal(got, want) {
-			t.Fatalf("BarrierWindow=%d diverged from the default window", window)
+			t.Fatalf("barrier window %d diverged from the default window", window)
+		}
+	}
+}
+
+// goroutineProbe is a trace source that records the largest goroutine
+// count it sees while the run loop reads from it.
+type goroutineProbe struct {
+	trace.Source
+	peak int
+}
+
+func (p *goroutineProbe) Next() (trace.Record, error) {
+	p.peak = max(p.peak, runtime.NumGoroutine())
+	return p.Source.Next()
+}
+
+// TestOneChannelRunsInline: a one-channel run applies records on the
+// caller's goroutine, while a two-channel run starts its shard workers.
+func TestOneChannelRunsInline(t *testing.T) {
+	for _, channels := range []int{1, 2} {
+		before := runtime.NumGoroutine()
+		probe := &goroutineProbe{Source: equivSource(t)}
+		if _, err := Run(probe, shardedConfig(channels, core.DesignLive, false)); err != nil {
+			t.Fatal(err)
+		}
+		if extra := probe.peak - before; channels == 1 && extra > 0 || channels > 1 && extra < channels {
+			t.Fatalf("channels=%d: %d goroutines beyond the caller's during the run", channels, extra)
 		}
 	}
 }
 
 // TestShardedCheckpointSections verifies the sharded container layout (one
-// ctrl<i> section per channel) and that the config digest separates channel
-// layouts: a checkpoint taken at channels=2 must not resume at channels=4.
+// ctrl<i> section per channel), that one channel keeps the single "ctrl"
+// section of pre-hub checkpoints, and that the config digest separates
+// channel layouts: a checkpoint taken at channels=2 must not resume at
+// channels=4.
 func TestShardedCheckpointSections(t *testing.T) {
 	cfg := equivConfig(core.DesignN1, false)
 	cfg.Channels = 4
@@ -215,6 +245,13 @@ func TestShardedCheckpointSections(t *testing.T) {
 	}
 
 	single := equivConfig(core.DesignN1, false)
+	info, err = InspectCheckpoint(captureOne(t, single))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"meta", "source", "ctrl"}; fmt.Sprint(info.Sections) != fmt.Sprint(want) {
+		t.Fatalf("one-channel Sections = %v, want %v", info.Sections, want)
+	}
 	if ConfigDigest(single) == ConfigDigest(cfg) {
 		t.Fatal("channels=1 and channels=4 must not share a config digest")
 	}

@@ -49,9 +49,10 @@ type Config struct {
 	// Channels shards the controller: the physical space stripes across
 	// this many per-channel controllers behind a hub (internal/memctrl),
 	// and the run executes deterministically in parallel — one goroutine
-	// per channel under a cycle-barrier (see runSharded). 0 and 1 both mean
-	// the classic single controller; values > 1 must be powers of two and
-	// divide both capacities into whole-stripe shards.
+	// per channel under a cycle barrier (see exec.go). 0 and 1 both mean
+	// the classic single controller, driven inline on the caller's
+	// goroutine; values > 1 must be powers of two and divide both
+	// capacities into whole-stripe shards.
 	Channels int
 
 	// InterleaveBytes is the channel-striping granularity (0 = the macro
@@ -61,13 +62,6 @@ type Config struct {
 	// HopLatency is the cross-channel interconnect hop in cycles charged
 	// on swap copy legs of a sharded run (0 = memctrl.DefaultHopLatency).
 	HopLatency int64
-
-	// BarrierWindow is the lockstep window of the sharded run, in trace
-	// cycles per barrier epoch (0 = a default sized no smaller than the
-	// minimum cross-channel latency). Results never depend on it — shards
-	// only interact at hop latency and migration is shard-local — so it
-	// trades barrier overhead against scheduling skew only.
-	BarrierWindow int64
 
 	// Sched tunes the per-region transaction schedulers (ablations).
 	Sched sched.Config
@@ -247,8 +241,7 @@ func batchBoundary(cfg *Config, n uint64) uint64 {
 
 // Run simulates src through a controller built from cfg. With
 // cfg.Channels > 1 the run shards across per-channel controllers and
-// executes deterministically in parallel; the single-channel path below
-// still goes through the (delegating) hub so the two share one entry point.
+// executes deterministically in parallel.
 func Run(src trace.Source, cfg Config) (Result, error) {
 	return RunContext(context.Background(), src, cfg)
 }
@@ -262,8 +255,9 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, erro
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Channels > 1 {
-		return runSharded(ctx, src, cfg)
+	channels := max(cfg.Channels, 1)
+	if channels > 1 && cfg.WindowRecords > 0 {
+		return Result{}, fmt.Errorf("sim: WindowRecords is not supported with Channels > 1 (completion interleaving across channels has no global window order)")
 	}
 	if cfg.CheckpointEvery > 0 || cfg.Resume != nil {
 		if err := checkpointIncompatible(cfg); err != nil {
@@ -282,27 +276,41 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, erro
 		Audit:      cfg.Audit,
 		Fault:      cfg.Fault,
 	}
-	var reg *obs.Registry
-	if cfg.Metrics || cfg.EventTrace > 0 || cfg.SpanTrace > 0 || cfg.EpochSeries > 0 {
-		reg = obs.NewRegistry()
-		if cfg.EventTrace > 0 {
-			reg.EnableEvents(cfg.EventTrace)
-		}
-		if cfg.SpanTrace > 0 {
-			reg.EnableSpans(cfg.SpanTrace)
-		}
-		if cfg.EpochSeries > 0 {
-			reg.EnableSeries(cfg.EpochSeries)
-		}
-		mcfg.Obs = reg
+	hubCfg := memctrl.HubConfig{
+		Channels:   channels,
+		Interleave: cfg.InterleaveBytes,
+		HopLatency: cfg.HopLatency,
 	}
-	var meter *power.Meter
+	// Every shard gets its own instruments: shards never share mutable
+	// state, and they fold in fixed channel order at the end of the run.
+	var regs []*obs.Registry
+	if cfg.Metrics || cfg.EventTrace > 0 || cfg.SpanTrace > 0 || cfg.EpochSeries > 0 {
+		regs = make([]*obs.Registry, channels)
+		for i := range regs {
+			reg := obs.NewRegistry()
+			if cfg.EventTrace > 0 {
+				reg.EnableEvents(cfg.EventTrace)
+			}
+			if cfg.SpanTrace > 0 {
+				reg.EnableSpans(cfg.SpanTrace)
+			}
+			if cfg.EpochSeries > 0 {
+				reg.EnableSeries(cfg.EpochSeries)
+			}
+			regs[i] = reg
+		}
+		hubCfg.ShardObs = regs
+	}
+	var meters []*power.Meter
 	if cfg.MeterPower {
-		meter = power.NewMeter(config.PaperPower())
-		mcfg.Power = meter
+		meters = make([]*power.Meter, channels)
+		for i := range meters {
+			meters[i] = power.NewMeter(config.PaperPower())
+		}
+		hubCfg.ShardPower = meters
 	}
 	var res Result
-	var ctrl *memctrl.Hub
+	var hub *memctrl.Hub
 	var onDone func(memctrl.AccessResult)
 	if cfg.WindowRecords > 0 {
 		var win struct {
@@ -321,7 +329,7 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, erro
 					OnShare:     float64(win.on) / float64(win.n),
 					MeanLatency: float64(win.sumLat) / float64(win.n),
 				}
-				if m := ctrl.Migrator(); m != nil {
+				if m := hub.Shard(0).Migrator(); m != nil {
 					w.SwapsSoFar = m.Stats().SwapsCompleted
 				}
 				res.Windows = append(res.Windows, w)
@@ -329,21 +337,24 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, erro
 			}
 		}
 	}
-	ctrl, err := memctrl.NewHub(mcfg, memctrl.HubConfig{Channels: 1}, onDone)
+	hub, err := memctrl.NewHub(mcfg, hubCfg, onDone)
 	if err != nil {
 		return Result{}, err
 	}
+	ex := newExecutor(hub)
+	defer ex.close()
 
 	var n uint64
 	if cfg.Resume != nil {
-		if n, err = restoreCheckpoint(cfg, src, ctrl, cfg.Resume); err != nil {
+		if n, err = restoreCheckpoint(cfg, src, hub, cfg.Resume); err != nil {
 			return Result{}, err
 		}
 	}
 	// Records stream through in batches sized to the next semantic boundary
 	// (cancel stride, warmup edge, checkpoint edge, MaxRecords), so every
-	// per-record check of the old loop hoists to a batch edge while firing
-	// at exactly the same record counts — semantics are bit-identical.
+	// boundary action fires at exactly the record count it names. The
+	// executor drains before each one, so every shard has applied exactly
+	// the first n records when the feeder resets, checkpoints, or flushes.
 	var batch trace.Batch
 	for cfg.MaxRecords == 0 || n < cfg.MaxRecords {
 		if n%cancelStride == 0 {
@@ -354,20 +365,24 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, erro
 		want := batchBoundary(&cfg, n)
 		batch.Resize(int(want))
 		k, rerr := trace.ReadBatch(src, &batch)
-		for j := 0; j < k; j++ {
-			if err := ctrl.Access(batch.Addr[j], batch.Write[j], int64(batch.Cycle[j])); err != nil {
-				return Result{}, fmt.Errorf("sim: access %d: %w", n+uint64(j), err)
-			}
+		if err := ex.feed(&batch, k, n); err != nil {
+			return Result{}, err
 		}
 		n += uint64(k)
 		if cfg.Warmup > 0 && n == cfg.Warmup && k > 0 {
-			ctrl.ResetStats()
+			if err := ex.drain(); err != nil {
+				return Result{}, err
+			}
+			hub.ResetStats()
 		}
 		if cfg.CheckpointEvery > 0 && cfg.CheckpointSink != nil && k > 0 && n%cfg.CheckpointEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return Result{}, fmt.Errorf("sim: cancelled at record %d: %w", n, err)
 			}
-			data, err := takeCheckpoint(cfg, src, ctrl, n)
+			if err := ex.drain(); err != nil {
+				return Result{}, err
+			}
+			data, err := takeCheckpoint(cfg, src, hub, n)
 			if err != nil {
 				return Result{}, fmt.Errorf("sim: checkpoint at record %d: %w", n, err)
 			}
@@ -385,37 +400,50 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, erro
 			return Result{}, fmt.Errorf("sim: reading trace record %d: %w", n, io.ErrNoProgress)
 		}
 	}
-	last := ctrl.Flush()
-	if err := ctrl.Err(); err != nil {
+	if err := ex.drain(); err != nil {
+		return Result{}, err
+	}
+	last := hub.Flush()
+	if err := hub.Err(); err != nil {
 		return Result{}, fmt.Errorf("sim: %w", err)
 	}
 
-	if reg != nil {
-		ctrl.PublishObs()
-		res.Metrics = reg.Snapshot()
-		if ring := reg.Events(); ring != nil {
-			res.Events = ring.Events()
-			res.EventsTotal = ring.Total()
-			res.EventsDropped = ring.Dropped()
+	if regs != nil {
+		hub.PublishObs()
+		snaps := make([]*obs.Snapshot, channels)
+		for i, reg := range regs {
+			snaps[i] = reg.Snapshot()
 		}
-		if tr := reg.Spans(); tr != nil {
-			res.Spans = tr.Spans()
-			res.SpansDropped = tr.Dropped()
-		}
-		if ser := reg.Series(); ser != nil {
-			res.Series = ser.Samples()
-			res.SeriesDropped = ser.Dropped()
+		res.Metrics = obs.MergeSnapshots(snaps...)
+		for _, reg := range regs {
+			if ring := reg.Events(); ring != nil {
+				res.Events = append(res.Events, ring.Events()...)
+				res.EventsTotal += ring.Total()
+				res.EventsDropped += ring.Dropped()
+			}
+			if tr := reg.Spans(); tr != nil {
+				res.Spans = append(res.Spans, tr.Spans()...)
+				res.SpansDropped += tr.Dropped()
+			}
+			if ser := reg.Series(); ser != nil {
+				res.Series = append(res.Series, ser.Samples()...)
+				res.SeriesDropped += ser.Dropped()
+			}
 		}
 	}
-	res.Report = ctrl.Report()
+	res.Report = hub.Report()
 	res.Faults = res.Report.Faults
 	res.Records = n
 	res.LastCycle = last
 	res.MeanLatency = res.Report.All.Mean()
 	res.MeanDRAMLatency = res.Report.DRAMAll.Mean()
-	if meter != nil {
-		res.EnergyPJ = meter.EnergyPJ()
-		res.NormalizedPower = meter.Normalized()
+	if meters != nil {
+		total := power.NewMeter(config.PaperPower())
+		for _, m := range meters {
+			total.Merge(m)
+		}
+		res.EnergyPJ = total.EnergyPJ()
+		res.NormalizedPower = total.Normalized()
 	}
 	return res, nil
 }

@@ -235,15 +235,6 @@ func NewPackedBuilder() *PackedBuilder {
 // Count returns the number of records appended so far.
 func (pb *PackedBuilder) Count() uint64 { return pb.p.n + uint64(pb.n) }
 
-// Append adds one record.
-func (pb *PackedBuilder) Append(r Record) {
-	pb.buf.Set(pb.n, r)
-	pb.n++
-	if pb.n == PackedChunkRecords {
-		pb.flush()
-	}
-}
-
 // AppendBatch adds the first k records of b.
 func (pb *PackedBuilder) AppendBatch(b *Batch, k int) {
 	done := 0

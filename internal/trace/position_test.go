@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -186,8 +187,13 @@ func TestLimitSnapshotPositionerSource(t *testing.T) {
 	}
 }
 
+// plainSource is neither a snap.Snapshotter nor a Positioner.
+type plainSource struct{}
+
+func (plainSource) Next() (Record, error) { return Record{}, io.EOF }
+
 func TestLimitSnapshotUnsupportedSource(t *testing.T) {
-	l := NewLimit(NewMerge(0, false), 10)
+	l := NewLimit(plainSource{}, 10)
 	e := snap.NewEncoder()
 	e.Section("limit")
 	l.SnapshotTo(e)

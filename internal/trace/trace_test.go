@@ -143,37 +143,6 @@ func TestCollectMax(t *testing.T) {
 	}
 }
 
-func TestMergeOrdersByCycle(t *testing.T) {
-	a := NewSliceSource([]Record{{Cycle: 1, Addr: 0}, {Cycle: 10, Addr: 64}})
-	b := NewSliceSource([]Record{{Cycle: 5, Addr: 128}, {Cycle: 6, Addr: 192}})
-	m := NewMerge(0, false, a, b)
-	got, err := Collect(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 {
-		t.Fatalf("merged %d records", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Cycle < got[i-1].Cycle {
-			t.Fatalf("merge out of order: %v", got)
-		}
-	}
-}
-
-func TestMergeStripesAndRelabels(t *testing.T) {
-	a := NewSliceSource([]Record{{Cycle: 1, Addr: 100, CPU: 9}})
-	b := NewSliceSource([]Record{{Cycle: 2, Addr: 100, CPU: 9}})
-	m := NewMerge(1<<20, true, a, b)
-	got, _ := Collect(m, 0)
-	if got[0].Addr == got[1].Addr {
-		t.Fatal("stripe did not separate address spaces")
-	}
-	if got[0].CPU == got[1].CPU {
-		t.Fatal("relabel did not assign distinct CPUs")
-	}
-}
-
 // Property: binary round-trip preserves arbitrary records (addresses
 // masked to the encodable range).
 func TestBinaryRoundTripProperty(t *testing.T) {

@@ -228,37 +228,6 @@ func TestVCycleStaysInRegion(t *testing.T) {
 	}
 }
 
-func TestMergeSPEC2006StyleMixture(t *testing.T) {
-	// The Merge tool must build a multi-programmed trace the way the paper
-	// built its SPEC2006 mixture.
-	var parts []trace.Source
-	for i := 0; i < 4; i++ {
-		gen, err := NewProgram("EP.C", int64(i+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, trace.NewLimit(gen, 1000))
-	}
-	m := trace.NewMerge(1<<32, true, parts...)
-	recs, err := trace.Collect(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 4000 {
-		t.Fatalf("merged %d records, want 4000", len(recs))
-	}
-	cpus := map[uint8]bool{}
-	for i, r := range recs {
-		cpus[r.CPU] = true
-		if i > 0 && r.Cycle < recs[i-1].Cycle {
-			t.Fatal("merged trace out of order")
-		}
-	}
-	if len(cpus) != 4 {
-		t.Fatalf("mixture uses %d CPUs, want 4", len(cpus))
-	}
-}
-
 func TestMemoryWorkloadCharacter(t *testing.T) {
 	// Validate via trace analysis that each Section IV workload has the
 	// structure its spec claims: footprint growth for streaming workloads,
