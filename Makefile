@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race soak chaos fuzz-regression perfbench-check fuzz bench benchdiff golden-update ci
+.PHONY: all build vet lint test race soak chaos fuzz-regression perfbench-check fuzz bench benchdiff golden-update loc ci
 
 all: ci
 
@@ -105,5 +105,11 @@ benchdiff:
 golden-update:
 	$(GO) test ./cmd/hmreport/ -update
 	$(GO) test ./internal/workload/ -run TestGeneratorGolden -update
+
+# Non-test Go lines outside the benchmark module and hidden directories
+# (the benchmark's build directory holds a Go cache): the size yardstick
+# ROADMAP.md tracks. Reporting only; it gates nothing.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path './.*' | xargs cat | wc -l
 
 ci: lint build race soak chaos fuzz-regression perfbench-check

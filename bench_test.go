@@ -230,11 +230,12 @@ func BenchmarkAblationSchedulers(b *testing.B) {
 
 // ---- Microbenchmarks of the core data paths ----
 
-// benchAccessPath drives Controller.Access directly — no sim layer, no
-// generator work inside the timed region — over a pre-materialized trace,
-// so ns/op and allocs/op measure the per-record access path alone. The
-// paths taken at steady state (translation, policy touch, scheduling,
-// completion accounting, object recycling) must be allocation-free.
+// benchAccessPath drives the shard controller of a one-channel hub
+// directly — no sim layer, no generator work inside the timed region — over
+// a pre-materialized trace, so ns/op and allocs/op measure the per-record
+// access path alone. The paths taken at steady state (translation, policy
+// touch, scheduling, completion accounting, object recycling) must be
+// allocation-free.
 func benchAccessPath(b *testing.B, design core.Design) {
 	benchAccessPathConfig(b, &core.Options{Design: design, SwapInterval: 1000}, scheme.Spec{})
 }
@@ -255,10 +256,11 @@ func benchAccessPathConfig(b *testing.B, mig *core.Options, sp scheme.Spec) {
 		Migration: mig,
 		Scheme:    sp,
 	}
-	ctrl, err := memctrl.New(mcfg, nil)
+	hub, err := memctrl.NewHub(mcfg, memctrl.HubConfig{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctrl := hub.Shard(0)
 	gen, err := workload.NewMemory("SPEC2006", 1)
 	if err != nil {
 		b.Fatal(err)
@@ -349,8 +351,8 @@ func BenchmarkAccessPathScheme(b *testing.B) {
 }
 
 // benchAccessPathSharded drives Hub.Access — channel routing plus the shard
-// controller's pipeline — the same way benchAccessPath drives a bare
-// controller, so the sharded ns/op and allocs/op are directly comparable.
+// controller's pipeline — the same way benchAccessPath drives a shard
+// directly, so the sharded ns/op and allocs/op are directly comparable.
 // The access path must stay allocation-free at every channel count (the
 // hard gate is memctrl's TestHubZeroAllocAccess; the benchmark archives the
 // numbers).

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"heteromem"
+	"heteromem/internal/core"
 	"heteromem/internal/dsweep"
 	"heteromem/internal/experiments"
 	"heteromem/internal/flog"
@@ -242,15 +243,15 @@ func main() {
 	}
 
 	if *workloadName != "" {
-		d, ok := parseDesign(*design)
-		if !ok {
+		_, migrate, err := core.ParseDesign(*design)
+		if err != nil || *design == "" {
 			usageErr("unknown design %q (want n, n-1, live, or none)", *design)
 		}
 		sp, err := scheme.Parse(*schemeName)
 		if err != nil {
 			usageErr("%v", err)
 		}
-		iv := *interval
+		dname, iv := *design, *interval
 		if sp.IsCache() {
 			// A pure cache scheme runs no migration engine, so the
 			// migration-only flags would be silently meaningless; reject
@@ -261,11 +262,11 @@ func main() {
 					usageErr("-%s does not apply to scheme %s (no migration engine)", name, sp)
 				}
 			}
-			d, iv = designChoice{name: "none"}, 0
-		} else if sp.Kind == scheme.KindMemCache && !d.migrate {
+			dname, migrate, iv = "none", false, 0
+		} else if sp.Kind == scheme.KindMemCache && !migrate {
 			usageErr("scheme %s needs a migrating -design (its memory part runs the paper's migration)", sp)
 		}
-		if d.migrate && iv == 0 {
+		if migrate && iv == 0 {
 			usageErr("-interval must be > 0 when migration is enabled")
 		}
 		fcfg := heteromem.FaultConfig{
@@ -298,7 +299,7 @@ func main() {
 			cpuFile = f
 		}
 		runErr := singleRun(ctx, os.Stdout, singleRunConfig{
-			Workload: *workloadName, Design: d, Scheme: *schemeName, Interval: iv, Page: *page,
+			Workload: *workloadName, Design: dname, Scheme: *schemeName, Interval: iv, Page: *page,
 			Channels: *channels,
 			Records:  *records, Warmup: *warmup, Seed: *seed,
 			Metrics: *metrics, Events: *events, Audit: *audit, Fault: fcfg,
@@ -685,33 +686,10 @@ func (s *telemetryServer) Close() {
 	<-s.done
 }
 
-// designChoice is a parsed -design value.
-type designChoice struct {
-	name    string
-	migrate bool
-	design  heteromem.Design
-}
-
-// parseDesign maps the -design flag to a migration design.
-func parseDesign(s string) (designChoice, bool) {
-	switch strings.ToLower(s) {
-	case "n":
-		return designChoice{name: s, migrate: true, design: heteromem.DesignN}, true
-	case "n-1", "n1":
-		return designChoice{name: s, migrate: true, design: heteromem.DesignN1}, true
-	case "live":
-		return designChoice{name: s, migrate: true, design: heteromem.DesignLive}, true
-	case "none", "static":
-		return designChoice{name: s}, true
-	default:
-		return designChoice{}, false
-	}
-}
-
 // singleRunConfig collects the single-run flags.
 type singleRunConfig struct {
 	Workload string
-	Design   designChoice
+	Design   string // migration design name (core.ParseDesign)
 	Scheme   string // on-package scheme name ("" = migrate)
 	Interval uint64
 	Page     uint64
@@ -762,8 +740,12 @@ func singleRun(ctx context.Context, w io.Writer, c singleRunConfig) error {
 	if c.SeriesOut != "" {
 		cfg.EpochSeries = 1 << 16
 	}
-	if c.Design.migrate {
-		cfg.Migration = heteromem.Migration{Enabled: true, Design: c.Design.design, SwapInterval: c.Interval}
+	design, migrate, err := core.ParseDesign(c.Design)
+	if err != nil {
+		return err
+	}
+	if migrate {
+		cfg.Migration = heteromem.Migration{Enabled: true, Design: design, SwapInterval: c.Interval}
 	}
 	sys, err := heteromem.New(cfg)
 	if err != nil {
@@ -787,15 +769,9 @@ func singleRun(ctx context.Context, w io.Writer, c singleRunConfig) error {
 		}
 		ck.Resume = data
 	}
-	var res heteromem.Result
-	var err2 error
-	if ck.Every > 0 || ck.Resume != nil {
-		res, err2 = sys.RunWorkloadCheckpointedContext(ctx, c.Workload, c.Seed, records, ck)
-	} else {
-		res, err2 = sys.RunWorkloadContext(ctx, c.Workload, c.Seed, records)
-	}
-	if err2 != nil {
-		return err2
+	res, err := sys.RunWorkloadContext(ctx, c.Workload, c.Seed, records, ck)
+	if err != nil {
+		return err
 	}
 	if c.TraceOut != "" {
 		if err := writeTraceFile(c.TraceOut, res.Spans); err != nil {
@@ -812,7 +788,7 @@ func singleRun(ctx context.Context, w io.Writer, c singleRunConfig) error {
 	}
 	out := singleRunOutput{
 		Workload: c.Workload,
-		Design:   c.Design.name,
+		Design:   c.Design,
 		Scheme:   c.Scheme,
 		Interval: c.Interval,
 		PageSize: c.Page,

@@ -205,13 +205,7 @@ func New(c Config) (*System, error) {
 	if c.SubBlockSize > 0 {
 		scfg.Geometry.SubBlockSize = c.SubBlockSize
 	}
-	if err := scfg.Geometry.Validate(); err != nil {
-		return nil, err
-	}
 	if c.Migration.Enabled {
-		if c.Migration.SwapInterval == 0 {
-			return nil, fmt.Errorf("heteromem: migration enabled with zero swap interval")
-		}
 		scfg.Migration = &core.Options{
 			Design:       c.Migration.Design,
 			SwapInterval: c.Migration.SwapInterval,
@@ -221,12 +215,6 @@ func New(c Config) (*System, error) {
 	sp, err := scheme.Parse(c.Scheme)
 	if err != nil {
 		return nil, fmt.Errorf("heteromem: %w", err)
-	}
-	if sp.IsCache() && c.Migration.Enabled {
-		return nil, fmt.Errorf("heteromem: scheme %s manages the on-package capacity as a cache; disable Migration", sp)
-	}
-	if sp.Kind == scheme.KindMemCache && !c.Migration.Enabled {
-		return nil, fmt.Errorf("heteromem: scheme %s migrates its memory share; enable Migration", sp)
 	}
 	scfg.Scheme = sp
 	scfg.Channels = c.Channels
@@ -240,7 +228,7 @@ func New(c Config) (*System, error) {
 	scfg.EpochSeries = c.EpochSeries
 	scfg.Audit = c.Audit
 	scfg.Fault = c.Fault
-	if err := scfg.Fault.Validate(); err != nil {
+	if err := scfg.Validate(); err != nil {
 		return nil, fmt.Errorf("heteromem: %w", err)
 	}
 	return &System{cfg: scfg}, nil
@@ -248,17 +236,21 @@ func New(c Config) (*System, error) {
 
 // Run simulates up to maxRecords accesses from src (0 = the whole trace).
 func (s *System) Run(src Source, maxRecords uint64) (Result, error) {
-	return s.RunContext(context.Background(), src, maxRecords)
+	return s.RunContext(context.Background(), src, maxRecords, Checkpointing{})
 }
 
-// RunContext is Run with cooperative cancellation: the context is polled
+// RunContext is Run with cooperative cancellation and optional
+// checkpointing (the zero Checkpointing is off). The context is polled
 // every few thousand records (never in the per-record hot path), and a
 // cancelled run returns an error wrapping ctx.Err(). Cancellation never
 // alters simulated results — an uncancelled RunContext is byte-identical
 // to Run.
-func (s *System) RunContext(ctx context.Context, src Source, maxRecords uint64) (Result, error) {
+func (s *System) RunContext(ctx context.Context, src Source, maxRecords uint64, ck Checkpointing) (Result, error) {
 	cfg := s.cfg
 	cfg.MaxRecords = maxRecords
+	cfg.CheckpointEvery = ck.Every
+	cfg.CheckpointSink = ck.Sink
+	cfg.Resume = ck.Resume
 	return sim.RunContext(ctx, src, cfg)
 }
 
@@ -268,46 +260,14 @@ func (s *System) RunContext(ctx context.Context, src Source, maxRecords uint64) 
 // position — is serialized into a versioned, checksummed snapshot and
 // handed to Sink. A run restarted with Resume set to any such snapshot
 // (same configuration, same freshly constructed source) produces a Result
-// identical to the uninterrupted run. Checkpointing is incompatible with
-// the observability collectors (Metrics, EventTrace, SpanTrace,
-// EpochSeries).
+// identical to the uninterrupted run. The built-in workload generators
+// serialize their full PRNG state into the checkpoint, so resume is exact
+// at any boundary. Checkpointing is incompatible with the observability
+// collectors (Metrics, EventTrace, SpanTrace, EpochSeries).
 type Checkpointing struct {
 	Every  uint64                                  // records between checkpoints (0 = off)
 	Sink   func(data []byte, records uint64) error // receives each checkpoint
 	Resume []byte                                  // checkpoint to resume from (nil = fresh run)
-}
-
-// RunCheckpointed is Run with periodic checkpoints and/or resume.
-func (s *System) RunCheckpointed(src Source, maxRecords uint64, ck Checkpointing) (Result, error) {
-	return s.RunCheckpointedContext(context.Background(), src, maxRecords, ck)
-}
-
-// RunCheckpointedContext is RunCheckpointed with cooperative cancellation
-// (see RunContext).
-func (s *System) RunCheckpointedContext(ctx context.Context, src Source, maxRecords uint64, ck Checkpointing) (Result, error) {
-	cfg := s.cfg
-	cfg.MaxRecords = maxRecords
-	cfg.CheckpointEvery = ck.Every
-	cfg.CheckpointSink = ck.Sink
-	cfg.Resume = ck.Resume
-	return sim.RunContext(ctx, src, cfg)
-}
-
-// RunWorkloadCheckpointed is RunWorkload with periodic checkpoints and/or
-// resume. The built-in workload generators serialize their full PRNG state
-// into the checkpoint, so resume is exact at any boundary.
-func (s *System) RunWorkloadCheckpointed(name string, seed int64, maxRecords uint64, ck Checkpointing) (Result, error) {
-	return s.RunWorkloadCheckpointedContext(context.Background(), name, seed, maxRecords, ck)
-}
-
-// RunWorkloadCheckpointedContext is RunWorkloadCheckpointed with
-// cooperative cancellation (see RunContext).
-func (s *System) RunWorkloadCheckpointedContext(ctx context.Context, name string, seed int64, maxRecords uint64, ck Checkpointing) (Result, error) {
-	gen, err := workload.NewMemory(name, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.RunCheckpointedContext(ctx, gen, maxRecords, ck)
 }
 
 // CheckpointInfo summarizes a checkpoint file without restoring it.
@@ -335,17 +295,17 @@ func (s *System) RunWindows(src Source, maxRecords, window uint64) (Result, erro
 // RunWorkload simulates one of the built-in Section IV workloads
 // (see Workloads) with the given seed.
 func (s *System) RunWorkload(name string, seed int64, maxRecords uint64) (Result, error) {
-	return s.RunWorkloadContext(context.Background(), name, seed, maxRecords)
+	return s.RunWorkloadContext(context.Background(), name, seed, maxRecords, Checkpointing{})
 }
 
-// RunWorkloadContext is RunWorkload with cooperative cancellation (see
-// RunContext).
-func (s *System) RunWorkloadContext(ctx context.Context, name string, seed int64, maxRecords uint64) (Result, error) {
+// RunWorkloadContext is RunWorkload with cooperative cancellation and
+// optional checkpointing (see RunContext).
+func (s *System) RunWorkloadContext(ctx context.Context, name string, seed int64, maxRecords uint64, ck Checkpointing) (Result, error) {
 	gen, err := workload.NewMemory(name, seed)
 	if err != nil {
 		return Result{}, err
 	}
-	return s.RunContext(ctx, gen, maxRecords)
+	return s.RunContext(ctx, gen, maxRecords, ck)
 }
 
 // Workloads lists the built-in Section IV trace workloads.

@@ -1,6 +1,14 @@
 package heteromem
 
-import "testing"
+import (
+	"testing"
+
+	"heteromem/internal/config"
+	"heteromem/internal/core"
+	"heteromem/internal/dsweep"
+	"heteromem/internal/memctrl"
+	"heteromem/internal/scheme"
+)
 
 func TestDefaultsBuild(t *testing.T) {
 	sys, err := New(Config{})
@@ -47,6 +55,77 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{TotalCapacity: 1 * GiB, OnPackageCapacity: 1 * GiB}); err == nil {
 		t.Fatal("on-package == total accepted")
+	}
+}
+
+// TestConfigRulesRejectedEverywhere: the capacity-scheme and swap-interval
+// rules live in memctrl.Config.Validate, and the facade and the sweep cells
+// reach them through it rather than restating them.
+func TestConfigRulesRejectedEverywhere(t *testing.T) {
+	base := memctrl.Config{
+		Geometry:  config.TraceGeometry(),
+		Latencies: config.TableIILatencies(),
+		OffTiming: config.OffPackageTiming(),
+		OnTiming:  config.OnPackageTiming(),
+	}
+	live := Migration{Enabled: true, Design: DesignLive, SwapInterval: 1000}
+	cases := []struct {
+		name   string
+		ctrl   func(*memctrl.Config)
+		facade Config
+		cell   *dsweep.CellSpec // nil: a cell cannot express the rule
+	}{
+		{
+			name: "alloy+migration",
+			ctrl: func(c *memctrl.Config) {
+				c.Scheme = scheme.Spec{Kind: scheme.KindAlloy}
+				c.Migration = &core.Options{Design: core.DesignLive, SwapInterval: 1000}
+			},
+			facade: Config{Scheme: "alloy", Migration: live},
+			cell:   &dsweep.CellSpec{Scheme: "alloy", Design: "live", Interval: 1000},
+		},
+		{
+			name: "cachemode+audit",
+			ctrl: func(c *memctrl.Config) {
+				c.Scheme = scheme.Spec{Kind: scheme.KindCacheMode}
+				c.Audit = true
+			},
+			facade: Config{Scheme: "cachemode", Audit: true},
+		},
+		{
+			name:   "memcache without migration",
+			ctrl:   func(c *memctrl.Config) { c.Scheme = scheme.Spec{Kind: scheme.KindMemCache} },
+			facade: Config{Scheme: "memcache"},
+			cell:   &dsweep.CellSpec{Scheme: "memcache", Design: "none"},
+		},
+		{
+			name:   "zero swap interval",
+			ctrl:   func(c *memctrl.Config) { c.Migration = &core.Options{Design: core.DesignLive} },
+			facade: Config{Migration: Migration{Enabled: true, Design: DesignLive}},
+			cell:   &dsweep.CellSpec{Design: "live"},
+		},
+	}
+	if err := base.Validate(); err != nil {
+		t.Fatalf("base controller config rejected: %v", err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.ctrl(&cfg)
+			if err := cfg.Validate(); err == nil {
+				t.Error("memctrl.Config.Validate accepted it")
+			}
+			if _, err := New(tc.facade); err == nil {
+				t.Error("heteromem.New accepted it")
+			}
+			if tc.cell != nil {
+				cell := *tc.cell
+				cell.Workload, cell.Seed, cell.Records = "pgbench", 1, 1000
+				if err := cell.Validate(); err == nil {
+					t.Error("dsweep.CellSpec.Validate accepted it")
+				}
+			}
+		})
 	}
 }
 

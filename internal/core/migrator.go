@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"heteromem/internal/addr"
 	"heteromem/internal/policy"
@@ -29,6 +30,23 @@ func (d Design) String() string {
 	default:
 		return fmt.Sprintf("Design(%d)", int(d))
 	}
+}
+
+// ParseDesign maps a design name, in any case, to a migration design:
+// "n", "n-1" (or "n1"), and "live" migrate; "none", "static", and the empty
+// string select the static mapping (migrate false).
+func ParseDesign(s string) (d Design, migrate bool, err error) {
+	switch strings.ToLower(s) {
+	case "n":
+		return DesignN, true, nil
+	case "n-1", "n1":
+		return DesignN1, true, nil
+	case "live":
+		return DesignLive, true, nil
+	case "none", "static", "":
+		return 0, false, nil
+	}
+	return 0, false, fmt.Errorf("core: unknown design %q (want n, n-1, live, or none)", s)
 }
 
 // Options configures a Migrator.

@@ -2,7 +2,6 @@ package dsweep
 
 import (
 	"fmt"
-	"strings"
 
 	"heteromem/internal/core"
 	"heteromem/internal/experiments"
@@ -34,22 +33,6 @@ type CellSpec struct {
 	Scheme string `json:"scheme,omitempty"`
 }
 
-// parseDesign maps a CellSpec.Design value to a migration design.
-func parseDesign(s string) (d core.Design, migrate, ok bool) {
-	switch strings.ToLower(s) {
-	case "n":
-		return core.DesignN, true, true
-	case "n-1", "n1":
-		return core.DesignN1, true, true
-	case "live":
-		return core.DesignLive, true, true
-	case "none", "static", "":
-		return 0, false, true
-	default:
-		return 0, false, false
-	}
-}
-
 // Validate rejects specs that could never simulate, so a bad cell fails at
 // coordinator construction instead of burning through its lease attempts.
 func (c CellSpec) Validate() error {
@@ -68,21 +51,15 @@ func (c CellSpec) Validate() error {
 
 // Config deterministically reconstructs the cell's simulation configuration,
 // mirroring the experiment drivers' construction (paper defaults, the
-// OS-assisted feasibility split below 1 MB pages).
+// OS-assisted feasibility split below 1 MB pages), and validates it.
 func (c CellSpec) Config() (sim.Config, error) {
-	d, migrate, ok := parseDesign(c.Design)
-	if !ok {
-		return sim.Config{}, fmt.Errorf("dsweep: cell %s: unknown design %q", c.Workload, c.Design)
+	d, migrate, err := core.ParseDesign(c.Design)
+	if err != nil {
+		return sim.Config{}, fmt.Errorf("dsweep: cell %s: %w", c.Workload, err)
 	}
 	sp, err := scheme.Parse(c.Scheme)
 	if err != nil {
 		return sim.Config{}, fmt.Errorf("dsweep: cell %s: %w", c.Workload, err)
-	}
-	if sp.IsCache() && migrate {
-		return sim.Config{}, fmt.Errorf("dsweep: cell %s: scheme %s takes no migration design (got %q)", c.Workload, sp, c.Design)
-	}
-	if sp.Kind == scheme.KindMemCache && !migrate {
-		return sim.Config{}, fmt.Errorf("dsweep: cell %s: scheme %s needs a migration design", c.Workload, sp)
 	}
 	cfg := sim.Default()
 	cfg.Scheme = sp
@@ -90,16 +67,13 @@ func (c CellSpec) Config() (sim.Config, error) {
 		cfg.Geometry.MacroPageSize = c.PageSize
 	}
 	if migrate {
-		if c.Interval == 0 {
-			return sim.Config{}, fmt.Errorf("dsweep: cell %s: design %q needs a swap interval", c.Workload, c.Design)
-		}
 		cfg.Migration = &core.Options{Design: d, SwapInterval: c.Interval}
 	}
 	cfg.OSAssisted = migrate && cfg.Geometry.MacroPageSize < experiments.PureHardwareMinPage
 	cfg.MaxRecords = c.Records
 	cfg.Warmup = c.Warmup
 	cfg.Channels = c.Channels
-	if err := cfg.Geometry.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return sim.Config{}, fmt.Errorf("dsweep: cell %s: %w", c.Workload, err)
 	}
 	return cfg, nil

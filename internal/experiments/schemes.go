@@ -45,12 +45,12 @@ var SchemeVariants = []SchemeVariant{
 
 // variantConfig builds the simulation configuration for one variant.
 func variantConfig(v SchemeVariant, records, warmup uint64) (sim.Config, error) {
+	d, migrate, err := core.ParseDesign(v.Design)
+	if err != nil {
+		return sim.Config{}, fmt.Errorf("experiments: scheme variant %s: %w", v.Scheme, err)
+	}
 	var mig *core.Options
-	if v.Design != "" {
-		d, ok := map[string]core.Design{"n": core.DesignN, "n-1": core.DesignN1, "live": core.DesignLive}[v.Design]
-		if !ok {
-			return sim.Config{}, fmt.Errorf("experiments: scheme variant %s: unknown design %q", v.Scheme, v.Design)
-		}
+	if migrate {
 		mig = &core.Options{Design: d, SwapInterval: v.Interval}
 	}
 	cfg := traceConfig(sim.Default().Geometry.MacroPageSize, mig, records, warmup)

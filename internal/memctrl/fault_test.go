@@ -56,7 +56,7 @@ func TestZeroFaultConfigKeepsInjectorOff(t *testing.T) {
 	// A zero-valued (and a seed-only) fault config must leave the injector
 	// nil so every hot path and the report stay byte-identical.
 	for _, fc := range []fault.Config{{}, {Seed: 99, RetryBudget: 5}} {
-		ctrl, err := New(faultConfig(&core.Options{Design: core.DesignLive, SwapInterval: 500}, fc), nil)
+		hub, ctrl, err := newShard(faultConfig(&core.Options{Design: core.DesignLive, SwapInterval: 500}, fc), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestZeroFaultConfigKeepsInjectorOff(t *testing.T) {
 		if ctrl.FaultReport() != nil {
 			t.Fatalf("config %+v produced a fault report", fc)
 		}
-		if ctrl.Report().Faults != nil {
+		if hub.Report().Faults != nil {
 			t.Fatal("Report.Faults set without injection")
 		}
 	}
@@ -78,7 +78,7 @@ func TestDeviceFaultRetries(t *testing.T) {
 	// One scheduled device fault, no budget pressure: the burst must be
 	// retried and the access still delivered.
 	var delivered int
-	ctrl, err := New(faultConfig(
+	_, ctrl, err := newShard(faultConfig(
 		&core.Options{Design: core.DesignLive, SwapInterval: 1 << 30},
 		fault.Config{Schedule: "device@1"},
 	), func(AccessResult) { delivered++ })
@@ -104,7 +104,7 @@ func TestDeviceRetryChargesLatency(t *testing.T) {
 	// The faulted burst plus backoff must show up in the access latency.
 	lat := func(fc fault.Config) int64 {
 		var res AccessResult
-		ctrl, err := New(faultConfig(nil, fc), func(r AccessResult) { res = r })
+		_, ctrl, err := newShard(faultConfig(nil, fc), func(r AccessResult) { res = r })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestDeviceRetryChargesLatency(t *testing.T) {
 func TestStalledSwapRollsBack(t *testing.T) {
 	// DesignN copies synchronously; four consecutive copy faults exhaust
 	// the default retry budget (3) on the first leg and force a rollback.
-	ctrl, err := New(faultConfig(
+	_, ctrl, err := newShard(faultConfig(
 		&core.Options{Design: core.DesignN, SwapInterval: 200},
 		fault.Config{Schedule: "copy@1-4"},
 	), nil)
@@ -158,7 +158,7 @@ func TestBackgroundSwapRollsBack(t *testing.T) {
 	// one leg to exhaust its budget. The swap then rolls back, and since
 	// the undo legs fault too, the rollback is abandoned into degraded
 	// mode — the deepest escalation path.
-	ctrl, err := New(faultConfig(
+	_, ctrl, err := newShard(faultConfig(
 		&core.Options{Design: core.DesignN1, SwapInterval: 200},
 		fault.Config{Schedule: "copy@1-2000"},
 	), nil)
@@ -181,7 +181,7 @@ func TestStalledUndoFaultsDegrade(t *testing.T) {
 	// the undo copy of the landed data exhausts its retries too (probes
 	// 6-9). The rollback is abandoned: the table snapshot is still
 	// restored and migration freezes.
-	ctrl, err := New(faultConfig(
+	_, ctrl, err := newShard(faultConfig(
 		&core.Options{Design: core.DesignN, SwapInterval: 200},
 		fault.Config{Schedule: "copy@2-9"},
 	), nil)
@@ -205,7 +205,7 @@ func TestSlotRetirement(t *testing.T) {
 	// Two faults on the same on-package frame with RetireAfter=2: the slot
 	// must be retired and its page exiled to a spare frame past Ω.
 	var last AccessResult
-	ctrl, err := New(faultConfig(
+	_, ctrl, err := newShard(faultConfig(
 		&core.Options{Design: core.DesignN1, SwapInterval: 1 << 30},
 		fault.Config{Schedule: "device@1-2", RetireAfter: 2},
 	), func(r AccessResult) { last = r })
@@ -246,7 +246,7 @@ func TestSlotRetirement(t *testing.T) {
 
 func TestDegradedModeFreezesMigration(t *testing.T) {
 	// DegradeBudget=1: the very first fault freezes migration for good.
-	ctrl, err := New(faultConfig(
+	_, ctrl, err := newShard(faultConfig(
 		&core.Options{Design: core.DesignLive, SwapInterval: 200},
 		fault.Config{Schedule: "device@1", DegradeBudget: 1},
 	), nil)
@@ -276,7 +276,7 @@ func TestFaultRatesAcrossDesigns(t *testing.T) {
 	// without error, with a balanced ledger and an intact table.
 	for _, d := range []core.Design{core.DesignN, core.DesignN1, core.DesignLive} {
 		t.Run(d.String(), func(t *testing.T) {
-			ctrl, err := New(faultConfig(
+			_, ctrl, err := newShard(faultConfig(
 				&core.Options{Design: d, SwapInterval: 200},
 				fault.Config{Seed: 7, DeviceRate: 2e-4, CopyRate: 2e-3, BulkRate: 2e-3, DegradeBudget: 200},
 			), nil)
@@ -296,7 +296,7 @@ func TestFaultRatesAcrossDesigns(t *testing.T) {
 }
 
 func TestErrLatchesFirstFailure(t *testing.T) {
-	ctrl, err := New(smallConfig(), nil)
+	_, ctrl, err := newShard(smallConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestErrLatchesFirstFailure(t *testing.T) {
 func TestFlushRejectsInFlightSwap(t *testing.T) {
 	for _, fc := range []fault.Config{{}, {Schedule: "device@1"}} {
 		t.Run(fmt.Sprintf("fault=%v", fc.Enabled()), func(t *testing.T) {
-			ctrl, err := New(faultConfig(
+			_, ctrl, err := newShard(faultConfig(
 				&core.Options{Design: core.DesignN1, SwapInterval: 100},
 				fc,
 			), nil)

@@ -140,8 +140,8 @@ func (c *Controller) execRetire(s int, cycle int64) {
 		dstOn := c.regionOfMachine(sc.Dst)
 		at = c.reserve(srcOn, sc.Src, at, c.subDuration(srcOn, sc.Bytes, false))
 		at = c.reserve(dstOn, sc.Dst, at, c.subDuration(dstOn, sc.Bytes, false))
-		if c.cfg.Power != nil {
-			c.cfg.Power.Copy(srcOn, dstOn, sc.Bytes, false)
+		if c.power != nil {
+			c.power.Copy(srcOn, dstOn, sc.Bytes, false)
 		}
 		c.inst.copySubs.Inc()
 		c.inst.copyBytes.Add(sc.Bytes)

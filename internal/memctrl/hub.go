@@ -6,12 +6,13 @@
 // pooled freelists, and observability instruments — owning an equal slice
 // of both regions, so shards share no mutable state and can advance on
 // separate goroutines. Cross-channel swap copy legs pay a fixed-latency
-// interconnect hop (Config.CopyHop), which the hub charges on every shard's
-// copy read legs.
+// interconnect hop (HubConfig.HopLatency), which the hub charges on every
+// shard's copy read legs.
 //
-// A single-channel hub is pure delegation: construction, access path,
-// report, and snapshot bytes are identical to a bare Controller, which is
-// what keeps the pre-hub goldens byte-for-byte valid.
+// The hub is the only way to build and drive a controller. One channel is
+// the same path with n = 1: the interleave has no channel bits, the shard
+// geometry is the whole machine, and no hop is charged, so routing, the
+// report fold and the snapshot bytes reduce to those of its one shard.
 package memctrl
 
 import (
@@ -60,47 +61,27 @@ type HubConfig struct {
 
 // Hub routes program accesses to N per-channel controllers.
 type Hub struct {
-	ctrls  []*Controller
-	iv     addr.Interleave
-	hop    int64
-	single *Controller // non-nil iff Channels == 1 (pure delegation)
+	ctrls []*Controller
+	iv    addr.Interleave
+	hop   int64
 }
 
-// NewHub builds the hub. With hubCfg.Channels <= 1 the result wraps exactly
-// one Controller built from cfg, with HubConfig's instruments (when given)
-// in place of cfg.Obs/cfg.Power. With N > 1, cfg.Geometry is split N ways
-// (capacities divide, device structure per shard unchanged) and
-// cfg.Obs/cfg.Power must be unset — per-shard instruments come from
-// HubConfig so shards never share mutable state. onResult, when non-nil,
-// observes every completed access; under sharding its AccessResult carries
-// the globalized physical address and the shard-local machine address.
+// NewHub validates cfg and builds the hub: cfg.Geometry is split n ways
+// (capacities divide, device structure per shard unchanged; n = 1 keeps it
+// whole) and every shard gets its own instruments from HubConfig, so shards
+// never share mutable state. onResult, when non-nil, observes every
+// completed access; its AccessResult carries the global physical address
+// and the shard-local machine address.
 func NewHub(cfg Config, hubCfg HubConfig, onResult func(AccessResult)) (*Hub, error) {
-	n := hubCfg.Channels
-	if n <= 0 {
-		n = 1
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
+	n := max(hubCfg.Channels, 1)
 	if hubCfg.ShardObs != nil && len(hubCfg.ShardObs) != n {
 		return nil, fmt.Errorf("memctrl: ShardObs has %d registries for %d channels", len(hubCfg.ShardObs), n)
 	}
 	if hubCfg.ShardPower != nil && len(hubCfg.ShardPower) != n {
 		return nil, fmt.Errorf("memctrl: ShardPower has %d meters for %d channels", len(hubCfg.ShardPower), n)
-	}
-	if n == 1 {
-		if hubCfg.ShardObs != nil {
-			cfg.Obs = hubCfg.ShardObs[0]
-		}
-		if hubCfg.ShardPower != nil {
-			cfg.Power = hubCfg.ShardPower[0]
-		}
-		ctrl, err := New(cfg, onResult)
-		if err != nil {
-			return nil, err
-		}
-		iv, err := addr.NewInterleave(1, cfg.Geometry.MacroPageSize)
-		if err != nil {
-			return nil, err
-		}
-		return &Hub{ctrls: []*Controller{ctrl}, iv: iv, single: ctrl}, nil
 	}
 	gran := hubCfg.Interleave
 	if gran == 0 {
@@ -122,27 +103,28 @@ func NewHub(cfg Config, hubCfg HubConfig, onResult func(AccessResult)) (*Hub, er
 		return nil, fmt.Errorf("memctrl: capacities (%d on, %d total) must be multiples of the %d-byte channel stripe",
 			cfg.Geometry.OnPackageCapacity, cfg.Geometry.TotalCapacity, stripe)
 	}
-	if cfg.Obs != nil || cfg.Power != nil {
-		return nil, fmt.Errorf("memctrl: sharded hub requires per-shard instruments (HubConfig.ShardObs/ShardPower), not shared Config.Obs/Power")
-	}
 	shardGeom, err := cfg.Geometry.Shard(n)
 	if err != nil {
 		return nil, fmt.Errorf("memctrl: %w", err)
 	}
-	hop := hubCfg.HopLatency
-	if hop == 0 {
-		hop = DefaultHopLatency
+	var hop int64
+	if n > 1 {
+		hop = hubCfg.HopLatency
+		if hop == 0 {
+			hop = DefaultHopLatency
+		}
 	}
 	h := &Hub{ctrls: make([]*Controller, n), iv: iv, hop: hop}
+	scfg := cfg
+	scfg.Geometry = shardGeom
 	for i := 0; i < n; i++ {
-		scfg := cfg
-		scfg.Geometry = shardGeom
-		scfg.CopyHop = hop
+		var reg *obs.Registry
 		if hubCfg.ShardObs != nil {
-			scfg.Obs = hubCfg.ShardObs[i]
+			reg = hubCfg.ShardObs[i]
 		}
+		var meter *power.Meter
 		if hubCfg.ShardPower != nil {
-			scfg.Power = hubCfg.ShardPower[i]
+			meter = hubCfg.ShardPower[i]
 		}
 		var shardResult func(AccessResult)
 		if onResult != nil {
@@ -152,7 +134,7 @@ func NewHub(cfg Config, hubCfg HubConfig, onResult func(AccessResult)) (*Hub, er
 				onResult(r)
 			}
 		}
-		ctrl, err := New(scfg, shardResult)
+		ctrl, err := newController(scfg, reg, meter, hop, shardResult)
 		if err != nil {
 			return nil, fmt.Errorf("memctrl: channel %d: %w", i, err)
 		}
@@ -180,9 +162,6 @@ func (h *Hub) Shard(i int) *Controller { return h.ctrls[i] }
 
 // Route decodes the channel and shard-local address of a physical address.
 func (h *Hub) Route(phys uint64) (ch int, local uint64) {
-	if h.single != nil {
-		return 0, phys
-	}
 	return h.iv.ChannelOf(phys), h.iv.Local(phys)
 }
 
@@ -190,17 +169,11 @@ func (h *Hub) Route(phys uint64) (ch int, local uint64) {
 // allocation-free shard access path is preserved: routing is three shifts
 // and a slice index.
 func (h *Hub) Access(phys uint64, write bool, now int64) error {
-	if h.single != nil {
-		return h.single.Access(phys, write, now)
-	}
 	return h.ctrls[h.iv.ChannelOf(phys)].Access(h.iv.Local(phys), write, now)
 }
 
 // Flush drains every shard and returns the latest final cycle.
 func (h *Hub) Flush() int64 {
-	if h.single != nil {
-		return h.single.Flush()
-	}
 	var last int64
 	for _, c := range h.ctrls {
 		if f := c.Flush(); f > last {
@@ -238,9 +211,6 @@ func (h *Hub) PublishObs() {
 // FaultReport merges the per-shard fault ledgers (nil when injection is
 // off).
 func (h *Hub) FaultReport() *fault.Report {
-	if h.single != nil {
-		return h.single.FaultReport()
-	}
 	var merged *fault.Report
 	for _, c := range h.ctrls {
 		rep := c.FaultReport()
@@ -260,11 +230,10 @@ func (h *Hub) FaultReport() *fault.Report {
 // states merge exactly (Chan et al.), histogram buckets add before the
 // percentile, queue-delay sums divide once at the end — and shards fold in
 // fixed channel order, so the report is identical regardless of which
-// shard's goroutine finished first.
+// shard's goroutine finished first. With one shard every fold is a copy:
+// a Welford merge into a zero value takes the other side whole, and the
+// rest are integer sums.
 func (h *Hub) Report() Report {
-	if h.single != nil {
-		return h.single.Report()
-	}
 	var r Report
 	var hist stats.Histogram
 	var coreLatSum int64

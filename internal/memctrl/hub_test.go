@@ -50,37 +50,9 @@ func hubTrace(n int, total uint64) []struct {
 	return recs
 }
 
-func TestHubSingleChannelDelegates(t *testing.T) {
-	cfg := hubConfig()
-	bare, err := New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub, err := NewHub(cfg, HubConfig{Channels: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hub.Channels() != 1 || hub.HopLatency() != 0 {
-		t.Fatalf("single hub: channels=%d hop=%d", hub.Channels(), hub.HopLatency())
-	}
-	for _, r := range hubTrace(30_000, cfg.Geometry.TotalCapacity) {
-		if err := bare.Access(r.a, r.write, r.cycle); err != nil {
-			t.Fatal(err)
-		}
-		if err := hub.Access(r.a, r.write, r.cycle); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if bf, hf := bare.Flush(), hub.Flush(); bf != hf {
-		t.Fatalf("flush cycle %d vs %d", bf, hf)
-	}
-	got, _ := json.Marshal(hub.Report())
-	want, _ := json.Marshal(bare.Report())
-	if string(got) != string(want) {
-		t.Fatalf("single-channel hub report diverged:\n got %s\nwant %s", got, want)
-	}
-}
-
+// TestHubRoutingMatchesInterleave checks the routing decode against the
+// interleave and mapping, and the one-channel case: the identity route and
+// no interconnect hop.
 func TestHubRoutingMatchesInterleave(t *testing.T) {
 	cfg := hubConfig()
 	hub, err := NewHub(cfg, HubConfig{Channels: 4}, nil)
@@ -99,6 +71,22 @@ func TestHubRoutingMatchesInterleave(t *testing.T) {
 	}
 	if m := hub.Mapping(); m.ChannelOf(5*gran) != 1 {
 		t.Fatal("Mapping disagrees with Interleave routing")
+	}
+	if hub.HopLatency() != DefaultHopLatency {
+		t.Fatalf("4-channel hop = %d, want the default %d", hub.HopLatency(), DefaultHopLatency)
+	}
+
+	single, err := NewHub(cfg, HubConfig{Channels: 1, HopLatency: 99}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.Channels() != 1 || single.HopLatency() != 0 {
+		t.Fatalf("single hub: channels=%d hop=%d", single.Channels(), single.HopLatency())
+	}
+	for _, a := range []uint64{0, gran + 1, cfg.Geometry.TotalCapacity - 1} {
+		if ch, local := single.Route(a); ch != 0 || local != a {
+			t.Fatalf("single hub Route(%#x) = (%d, %#x), want the identity", a, ch, local)
+		}
 	}
 }
 
@@ -175,17 +163,10 @@ func TestHubReportShuffledCompletion(t *testing.T) {
 	}
 }
 
-// TestHubShardObsIsolated: a sharded hub refuses shared instruments and
-// accepts per-shard registries, whose merged snapshot carries every shard's
-// counters.
+// TestHubShardObsIsolated: each shard records into its own registry, and
+// the merged snapshot carries every shard's counters.
 func TestHubShardObsIsolated(t *testing.T) {
 	cfg := hubConfig()
-	cfg.Obs = obs.NewRegistry()
-	if _, err := NewHub(cfg, HubConfig{Channels: 2}, nil); err == nil {
-		t.Fatal("shared Config.Obs must be rejected for a sharded hub")
-	}
-	cfg.Obs = nil
-
 	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
 	hub, err := NewHub(cfg, HubConfig{Channels: 2, ShardObs: regs}, nil)
 	if err != nil {

@@ -19,7 +19,7 @@ func TestShadowIntegrity(t *testing.T) {
 		t.Run(design.String(), func(t *testing.T) {
 			cfg := smallConfig()
 			cfg.Migration = &core.Options{Design: design, SwapInterval: 300}
-			ctrl, err := New(cfg, nil)
+			hub, ctrl, err := newShard(cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestShadowIntegrity(t *testing.T) {
 				}
 			}
 			ctrl.Flush()
-			if ctrl.Report().Migration.SwapsCompleted == 0 {
+			if hub.Report().Migration.SwapsCompleted == 0 {
 				t.Fatalf("%v: test exercised no swaps", design)
 			}
 		})

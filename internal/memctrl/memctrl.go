@@ -66,35 +66,19 @@ type Config struct {
 
 	// Scheme selects the on-package capacity policy (internal/scheme).
 	// The zero value is the paper's migration scheme and leaves every code
-	// path byte-identical to pre-scheme builds. The cache kinds (alloy,
-	// cachemode) require Migration == nil and Audit off; memcache requires
-	// Migration and runs it over the memory share of the capacity.
+	// path byte-identical to pre-scheme builds. See Validate for the rules
+	// tying the cache kinds and memcache to Migration and Audit.
 	Scheme scheme.Spec
 
 	// OSAssisted charges the OS epoch overhead (user/kernel switch) on
 	// every epoch boundary instead of assuming hardware table updates.
 	OSAssisted bool
 
-	// Power meters traffic when non-nil.
-	Power *power.Meter
-
-	// Obs receives runtime metrics (counters, latency histograms) and,
-	// when an event ring is enabled on it, the structured event trace.
-	// nil disables observability at zero hot-path cost.
-	Obs *obs.Registry
-
 	// Audit attaches an invariant auditor (internal/check) to the
 	// migration pipeline: the translation table is verified after every
 	// completed swap step and at every quiescent point. Violations
 	// surface as errors from Access and Err.
 	Audit bool
-
-	// CopyHop is a fixed interconnect latency added to the start of every
-	// swap copy read leg. A multi-channel hub sets it so the copy traffic of
-	// a sharded machine pays the hub-interconnect hop a cross-channel
-	// transfer would traverse; zero (the single-controller default) leaves
-	// the copy pipeline byte-identical to earlier builds.
-	CopyHop int64
 
 	// Fault configures deterministic fault injection (internal/fault):
 	// DRAM device bursts, migration copy legs, and step completions can be
@@ -105,9 +89,45 @@ type Config struct {
 	Fault fault.Config
 }
 
-// Controller is the heterogeneity-aware on-chip memory controller.
+// Validate checks the configuration rules every controller build shares:
+// the geometry, the scheme spec, how the capacity scheme combines with
+// migration and auditing (the cache kinds run no migration engine and have
+// no translation table to audit; memcache migrates its memory share), a
+// positive swap interval, and the fault configuration.
+func (cfg Config) Validate() error {
+	if err := cfg.Geometry.Validate(); err != nil {
+		return err
+	}
+	if err := cfg.Scheme.Validate(); err != nil {
+		return fmt.Errorf("memctrl: %w", err)
+	}
+	switch {
+	case cfg.Scheme.IsCache() && cfg.Migration != nil:
+		return fmt.Errorf("memctrl: scheme %s manages the on-package capacity as a cache; migration does not apply", cfg.Scheme)
+	case cfg.Scheme.IsCache() && cfg.Audit:
+		return fmt.Errorf("memctrl: scheme %s has no translation table to audit", cfg.Scheme)
+	case cfg.Scheme.Kind == scheme.KindMemCache && cfg.Migration == nil:
+		return fmt.Errorf("memctrl: scheme %s runs its memory part under migration; Migration options are required", cfg.Scheme)
+	case cfg.Migration != nil && cfg.Migration.SwapInterval == 0:
+		return fmt.Errorf("memctrl: migration needs a positive swap interval")
+	}
+	if err := cfg.Fault.Validate(); err != nil {
+		return fmt.Errorf("memctrl: %w", err)
+	}
+	return nil
+}
+
+// Controller is the heterogeneity-aware on-chip memory controller; NewHub
+// builds one per channel.
 type Controller struct {
 	cfg Config
+
+	// Per-shard attachments the hub hands in: the observability registry
+	// and power meter (nil when off), and the interconnect hop added to the
+	// start of every swap copy read leg (0 on a single channel).
+	reg     *obs.Registry
+	power   *power.Meter
+	copyHop int64
 
 	onDev  *dram.Device
 	offDev *dram.Device
@@ -203,8 +223,8 @@ type Controller struct {
 }
 
 // instruments holds the controller's observability hooks. Every field is
-// nil-safe: with Config.Obs == nil all pointers are nil and every record
-// call degrades to a single pointer test.
+// nil-safe: without a registry all pointers are nil and every record call
+// degrades to a single pointer test.
 type instruments struct {
 	accOn, accOff *obs.Counter // program accesses per region
 	pstalls       *obs.Counter // accesses redirected to Ω by a P bit
@@ -268,11 +288,10 @@ const (
 	stageMissData                  // off-package miss data; owes the fill at completion
 )
 
-// New builds the controller. onResult may be nil.
-func New(cfg Config, onResult func(AccessResult)) (*Controller, error) {
-	if err := cfg.Geometry.Validate(); err != nil {
-		return nil, err
-	}
+// newController builds one channel's controller from a validated cfg (see
+// NewHub, the only caller). reg, meter and hop are the shard's own
+// instruments and interconnect hop; onResult may be nil.
+func newController(cfg Config, reg *obs.Registry, meter *power.Meter, hop int64, onResult func(AccessResult)) (*Controller, error) {
 	g := cfg.Geometry
 	onDev, err := dram.New(dram.Geometry{
 		Channels:   g.OnChannels,
@@ -294,6 +313,9 @@ func New(cfg Config, onResult func(AccessResult)) (*Controller, error) {
 	}
 	c := &Controller{
 		cfg:      cfg,
+		reg:      reg,
+		power:    meter,
+		copyHop:  hop,
 		onDev:    onDev,
 		offDev:   offDev,
 		onResult: onResult,
@@ -307,19 +329,10 @@ func New(cfg Config, onResult func(AccessResult)) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Scheme.Validate(); err != nil {
-		return nil, fmt.Errorf("memctrl: %w", err)
-	}
 	c.onCap = g.OnPackageCapacity
 	c.migSlots = uint64(g.OnPackageSlots())
 	switch cfg.Scheme.Kind {
 	case scheme.KindAlloy, scheme.KindCacheMode:
-		if cfg.Migration != nil {
-			return nil, fmt.Errorf("memctrl: scheme %s manages the on-package capacity as a cache; migration does not apply", cfg.Scheme)
-		}
-		if cfg.Audit {
-			return nil, fmt.Errorf("memctrl: scheme %s has no translation table to audit", cfg.Scheme)
-		}
 		if cfg.Scheme.Kind == scheme.KindAlloy {
 			a, aerr := scheme.NewAlloy(cfg.Scheme, g.OnPackageCapacity, 0, g.BurstBytes)
 			if aerr != nil {
@@ -334,9 +347,6 @@ func New(cfg Config, onResult func(AccessResult)) (*Controller, error) {
 			c.policy, c.cache = tc, tc
 		}
 	case scheme.KindMemCache:
-		if cfg.Migration == nil {
-			return nil, fmt.Errorf("memctrl: scheme %s runs its memory part under migration; Migration options are required", cfg.Scheme)
-		}
 		mc, merr := scheme.NewMemCache(cfg.Scheme, g.OnPackageCapacity, g.MacroPageSize, g.BurstBytes)
 		if merr != nil {
 			return nil, fmt.Errorf("memctrl: %w", merr)
@@ -389,7 +399,7 @@ func New(cfg Config, onResult func(AccessResult)) (*Controller, error) {
 			return c.deviceFault(r, OffPackage)
 		})
 	}
-	if reg := cfg.Obs; reg != nil {
+	if reg != nil {
 		lb := obs.DefaultLatencyBuckets()
 		c.inst = instruments{
 			accOn:       reg.Counter("memctrl.access.on"),
@@ -772,18 +782,18 @@ func (c *Controller) submitSchemeJob(sj *schemeJob, addr, bytes uint64, earliest
 // recycle it. Fills and writebacks are block copies between the regions;
 // probe and wasted-fetch bursts are plain accesses on their region.
 func (c *Controller) schemeJobDone(sj *schemeJob, j *sched.BulkJob) {
-	if c.cfg.Power != nil {
+	if c.power != nil {
 		blk := c.cache.BlockBytes()
 		switch sj.kind {
 		case sjKindFill:
-			c.cfg.Power.Copy(false, true, blk, false)
+			c.power.Copy(false, true, blk, false)
 		case sjKindWB:
-			c.cfg.Power.Copy(true, false, blk, false)
+			c.power.Copy(true, false, blk, false)
 		case sjKindVictimRd:
 			// Bus-occupancy only: the paired writeback's Copy meters the
 			// on-package read and off-package write energy.
 		case sjKindProbe, sjKindWasted:
-			c.cfg.Power.Access(sj.on, blk)
+			c.power.Access(sj.on, blk)
 		}
 	}
 	c.freeBulkJob(j)
@@ -828,8 +838,8 @@ func (c *Controller) requestDone(r *sched.Request) {
 	case stageTagHit:
 		// Serial tag read answered on-package; the data burst follows in
 		// the same region, back-to-back (the inbound path is already paid).
-		if c.cfg.Power != nil {
-			c.cfg.Power.Access(true, c.cfg.Geometry.BurstBytes)
+		if c.power != nil {
+			c.power.Access(true, c.cfg.Geometry.BurstBytes)
 		}
 		r.Stage = 0
 		r.Attempts = 0
@@ -841,8 +851,8 @@ func (c *Controller) requestDone(r *sched.Request) {
 		return
 	case stageTagMiss:
 		// Serial probe confirmed the miss; fetch from off-package.
-		if c.cfg.Power != nil {
-			c.cfg.Power.Access(true, c.cfg.Geometry.BurstBytes)
+		if c.power != nil {
+			c.power.Access(true, c.cfg.Geometry.BurstBytes)
 		}
 		inb, _ := c.pathDelays(OffPackage)
 		r.Stage = stageMissData
@@ -885,8 +895,8 @@ func (c *Controller) requestDone(r *sched.Request) {
 	}
 	c.coreLatSum += r.CoreLat
 	c.nDone++
-	if c.cfg.Power != nil {
-		c.cfg.Power.Access(r.OnPkg, c.cfg.Geometry.BurstBytes)
+	if c.power != nil {
+		c.power.Access(r.OnPkg, c.cfg.Geometry.BurstBytes)
 	}
 	if c.onResult != nil {
 		c.onResult(AccessResult{
@@ -953,7 +963,7 @@ func (c *Controller) enqueueReadLeg(sc core.SubCopy, earliest int64) {
 	job := c.newBulkJob()
 	job.Tag = uint64(sc.SubIndex)
 	job.Duration = c.subDuration(srcOn, sc.Bytes, sc.Exchange)
-	job.Earliest = earliest + c.cfg.CopyHop
+	job.Earliest = earliest + c.copyHop
 	meta := c.newLeg()
 	*meta = legMeta{step: c.step, sub: sc, isRead: true, dstOn: dstOn}
 	job.Meta = meta
@@ -1043,8 +1053,8 @@ func (c *Controller) bulkDone(j *sched.BulkJob) {
 		earliest, done, sub.Dst/c.cfg.Geometry.MacroPageSize, uint64(sub.SubIndex), sub.Bytes)
 	c.inst.copySubs.Inc()
 	c.inst.copyBytes.Add(sub.Bytes)
-	if c.cfg.Power != nil {
-		c.cfg.Power.Copy(c.regionOfMachine(sub.Src), dstOn, sub.Bytes, sub.Exchange)
+	if c.power != nil {
+		c.power.Copy(c.regionOfMachine(sub.Src), dstOn, sub.Bytes, sub.Exchange)
 	}
 	if st.undo {
 		// Rollback mini-step: no table mutation, no copy-done notification
@@ -1122,7 +1132,7 @@ func (c *Controller) runStalledSwap(subs []core.SubCopy, now int64) error {
 			// each page copy on its page's channel.
 			rd := c.subDuration(srcOn, sc.Bytes, sc.Exchange)
 			wd := c.subDuration(dstOn, sc.Bytes, sc.Exchange)
-			legStart := start + c.cfg.CopyHop
+			legStart := start + c.copyHop
 			attempts := 0
 			var readDone, writeDone int64
 		legLoop:
@@ -1150,8 +1160,8 @@ func (c *Controller) runStalledSwap(subs []core.SubCopy, now int64) error {
 			pageSize := c.cfg.Geometry.MacroPageSize
 			c.inst.spans.Span(regionLane(srcOn), obs.SpanCopyRead, legStart, readDone, sc.Src/pageSize, uint64(sc.SubIndex), sc.Bytes)
 			c.inst.spans.Span(regionLane(dstOn), obs.SpanCopyWrite, readDone, writeDone, sc.Dst/pageSize, uint64(sc.SubIndex), sc.Bytes)
-			if c.cfg.Power != nil {
-				c.cfg.Power.Copy(srcOn, dstOn, sc.Bytes, sc.Exchange)
+			if c.power != nil {
+				c.power.Copy(srcOn, dstOn, sc.Bytes, sc.Exchange)
 			}
 			if c.onCopyDone != nil {
 				c.onCopyDone(sc)
@@ -1266,7 +1276,7 @@ func (c *Controller) Flush() int64 {
 // taking the registry snapshot; counters and histograms recorded on the
 // hot path are already in the registry.
 func (c *Controller) PublishObs() {
-	reg := c.cfg.Obs
+	reg := c.reg
 	if reg == nil {
 		return
 	}
@@ -1348,30 +1358,6 @@ type SchemeReport struct {
 	HitRate float64
 }
 
-// Report returns the accumulated statistics.
-func (c *Controller) Report() Report {
-	r := Report{
-		All: c.allLat, On: c.onLat, Off: c.offLat,
-		DRAMAll: c.dramAll, DRAMOn: c.dramOn, DRAMOff: c.dramOff,
-		P95: c.hist.Percentile(95),
-	}
-	if c.nDone > 0 {
-		r.MeanCoreLat = float64(c.coreLatSum) / float64(c.nDone)
-		r.OnShare = float64(c.onLat.Count()) / float64(c.nDone)
-	}
-	_, _, r.OnQueueMean = c.onSch.Stats()
-	_, _, r.OffQueueMean = c.offSch.Stats()
-	if c.mig != nil {
-		r.Migration = c.mig.Stats()
-	}
-	r.Faults = c.FaultReport()
-	if c.cache != nil {
-		st := c.policy.Stats()
-		r.Scheme = &SchemeReport{Name: c.policy.String(), Stats: st, HitRate: st.HitRate()}
-	}
-	return r
-}
-
 // Devices exposes the two DRAM models for inspection.
 func (c *Controller) Devices() (on, off *dram.Device) { return c.onDev, c.offDev }
 
@@ -1389,7 +1375,7 @@ func (c *Controller) ResetStats() {
 	c.coreLatSum = 0
 	c.nDone = 0
 	c.queueSum = 0
-	if c.cfg.Power != nil {
-		c.cfg.Power.Reset()
+	if c.power != nil {
+		c.power.Reset()
 	}
 }

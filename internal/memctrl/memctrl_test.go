@@ -22,9 +22,19 @@ func smallConfig() Config {
 	}
 }
 
+// newShard builds a one-channel hub over cfg and returns it with its only
+// controller, so single-controller tests drive the one construction path.
+func newShard(cfg Config, onResult func(AccessResult)) (*Hub, *Controller, error) {
+	hub, err := NewHub(cfg, HubConfig{}, onResult)
+	if err != nil {
+		return nil, nil, err
+	}
+	return hub, hub.Shard(0), nil
+}
+
 func TestStaticRouting(t *testing.T) {
 	var results []AccessResult
-	ctrl, err := New(smallConfig(), func(r AccessResult) { results = append(results, r) })
+	_, ctrl, err := newShard(smallConfig(), func(r AccessResult) { results = append(results, r) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +60,7 @@ func TestStaticRouting(t *testing.T) {
 func TestLatencyComposition(t *testing.T) {
 	var res AccessResult
 	cfg := smallConfig()
-	ctrl, err := New(cfg, func(r AccessResult) { res = r })
+	_, ctrl, err := newShard(cfg, func(r AccessResult) { res = r })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +81,7 @@ func TestTranslationLookupCharged(t *testing.T) {
 		cfg := smallConfig()
 		cfg.Migration = mig
 		var res AccessResult
-		ctrl, err := New(cfg, func(r AccessResult) { res = r })
+		_, ctrl, err := newShard(cfg, func(r AccessResult) { res = r })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,11 +97,12 @@ func TestTranslationLookupCharged(t *testing.T) {
 func TestMigrationEndToEnd(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Migration = &core.Options{Design: core.DesignLive, SwapInterval: 500}
-	cfg.Power = power.NewMeter(config.PaperPower())
-	ctrl, err := New(cfg, nil)
+	meter := power.NewMeter(config.PaperPower())
+	hub, err := NewHub(cfg, HubConfig{ShardPower: []*power.Meter{meter}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctrl := hub.Shard(0)
 	// Hammer one off-package page.
 	hot := uint64(32 * addr.MiB)
 	now := int64(0)
@@ -102,7 +113,7 @@ func TestMigrationEndToEnd(t *testing.T) {
 		}
 	}
 	ctrl.Flush()
-	rep := ctrl.Report()
+	rep := hub.Report()
 	if rep.Migration.SwapsCompleted == 0 {
 		t.Fatal("no swaps completed")
 	}
@@ -113,7 +124,7 @@ func TestMigrationEndToEnd(t *testing.T) {
 		t.Fatal("no copy traffic accounted")
 	}
 	// Copy traffic must show up in the power meter.
-	_, _, cOn, cOff := cfg.Power.TrafficBits()
+	_, _, cOn, cOff := meter.TrafficBits()
 	if cOn == 0 || cOff == 0 {
 		t.Fatalf("copy power not metered: on=%f off=%f", cOn, cOff)
 	}
@@ -127,7 +138,7 @@ func TestOSAssistedChargesEpochOverhead(t *testing.T) {
 		cfg := smallConfig()
 		cfg.Migration = &core.Options{Design: core.DesignN1, SwapInterval: 100}
 		cfg.OSAssisted = osAssisted
-		ctrl, err := New(cfg, nil)
+		hub, ctrl, err := newShard(cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +148,7 @@ func TestOSAssistedChargesEpochOverhead(t *testing.T) {
 			ctrl.Access(uint64(i%100)*4096, false, now)
 		}
 		ctrl.Flush()
-		return ctrl.Report().All.Mean()
+		return hub.Report().All.Mean()
 	}
 	hw, os := run(false), run(true)
 	if os <= hw {
@@ -146,17 +157,17 @@ func TestOSAssistedChargesEpochOverhead(t *testing.T) {
 }
 
 func TestResetStats(t *testing.T) {
-	ctrl, err := New(smallConfig(), nil)
+	hub, ctrl, err := newShard(smallConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctrl.Access(0, false, 0)
 	ctrl.Flush()
-	if ctrl.Report().All.Count() != 1 {
+	if hub.Report().All.Count() != 1 {
 		t.Fatal("access not counted")
 	}
 	ctrl.ResetStats()
-	if ctrl.Report().All.Count() != 0 {
+	if hub.Report().All.Count() != 0 {
 		t.Fatal("stats survive reset")
 	}
 }
@@ -164,19 +175,19 @@ func TestResetStats(t *testing.T) {
 func TestInvalidGeometryRejected(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Geometry.MacroPageSize = 3 * addr.MiB
-	if _, err := New(cfg, nil); err == nil {
+	if _, _, err := newShard(cfg, nil); err == nil {
 		t.Fatal("invalid geometry accepted")
 	}
 }
 
 func TestDRAMLatencySplit(t *testing.T) {
-	ctrl, err := New(smallConfig(), nil)
+	hub, ctrl, err := newShard(smallConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctrl.Access(32*addr.MiB, false, 0)
 	ctrl.Flush()
-	rep := ctrl.Report()
+	rep := hub.Report()
 	if rep.DRAMAll.Count() != 1 {
 		t.Fatal("DRAM latency not recorded")
 	}

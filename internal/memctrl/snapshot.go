@@ -191,9 +191,9 @@ func (c *Controller) SnapshotTo(e *snap.Encoder) {
 		e.Bool(c.degradedMode)
 	}
 
-	e.Bool(c.cfg.Power != nil)
-	if c.cfg.Power != nil {
-		c.cfg.Power.SnapshotTo(e)
+	e.Bool(c.power != nil)
+	if c.power != nil {
+		c.power.SnapshotTo(e)
 	}
 
 	if c.cache != nil {
@@ -480,12 +480,12 @@ func (c *Controller) RestoreFrom(d *snap.Decoder) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if hasPower != (c.cfg.Power != nil) {
+	if hasPower != (c.power != nil) {
 		d.Invalid("power meter presence mismatch")
 		return d.Err()
 	}
-	if c.cfg.Power != nil {
-		if err := c.cfg.Power.RestoreFrom(d); err != nil {
+	if c.power != nil {
+		if err := c.power.RestoreFrom(d); err != nil {
 			return err
 		}
 	}

@@ -145,6 +145,26 @@ func Default() Config {
 	}
 }
 
+// ctrlConfig is the controller configuration a run of cfg builds.
+func (cfg Config) ctrlConfig() memctrl.Config {
+	return memctrl.Config{
+		Geometry:   cfg.Geometry,
+		Latencies:  cfg.Latencies,
+		OffTiming:  cfg.OffTiming,
+		OnTiming:   cfg.OnTiming,
+		Migration:  cfg.Migration,
+		Scheme:     cfg.Scheme,
+		OSAssisted: cfg.OSAssisted,
+		Sched:      cfg.Sched,
+		Audit:      cfg.Audit,
+		Fault:      cfg.Fault,
+	}
+}
+
+// Validate checks cfg against the controller's configuration rules (see
+// memctrl.Config.Validate) without running it.
+func (cfg Config) Validate() error { return cfg.ctrlConfig().Validate() }
+
 // Result is the outcome of one run.
 type Result struct {
 	Report    memctrl.Report
@@ -264,18 +284,6 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, erro
 			return Result{}, err
 		}
 	}
-	mcfg := memctrl.Config{
-		Geometry:   cfg.Geometry,
-		Latencies:  cfg.Latencies,
-		OffTiming:  cfg.OffTiming,
-		OnTiming:   cfg.OnTiming,
-		Migration:  cfg.Migration,
-		Scheme:     cfg.Scheme,
-		OSAssisted: cfg.OSAssisted,
-		Sched:      cfg.Sched,
-		Audit:      cfg.Audit,
-		Fault:      cfg.Fault,
-	}
 	hubCfg := memctrl.HubConfig{
 		Channels:   channels,
 		Interleave: cfg.InterleaveBytes,
@@ -337,7 +345,7 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, erro
 			}
 		}
 	}
-	hub, err := memctrl.NewHub(mcfg, hubCfg, onDone)
+	hub, err := memctrl.NewHub(cfg.ctrlConfig(), hubCfg, onDone)
 	if err != nil {
 		return Result{}, err
 	}
