@@ -144,6 +144,11 @@ type Migrator struct {
 	table *Table
 	mq    *policy.MultiQueue
 	clock policy.VictimSelector
+	// pinnedRow is the one slot clock pins that is not retired: the empty
+	// row as of the last repin (-1 for none). The pin set is always the
+	// retired slots plus this row, so a repin moves one pin instead of
+	// rebuilding the set.
+	pinnedRow int
 
 	slotCount []uint32 // per-slot access counts for the current epoch
 	// naive (ablation) is a dense per-page counter plus the list of pages
@@ -224,6 +229,7 @@ func NewMigrator(opt Options) (*Migrator, error) {
 		table:     table,
 		mq:        mq,
 		clock:     clock,
+		pinnedRow: -1,
 		slotCount: make([]uint32, opt.Slots),
 		lastSub:   make([]int32, opt.TotalPages),
 	}
@@ -233,9 +239,7 @@ func NewMigrator(opt Options) (*Migrator, error) {
 	if opt.NaiveMRU {
 		m.naive = make([]uint32, opt.TotalPages)
 	}
-	if er := table.EmptyRow(); er >= 0 {
-		clock.Pin(er)
-	}
+	m.repinSlots()
 	return m, nil
 }
 
@@ -527,17 +531,16 @@ func (m *Migrator) finishSwap() {
 	}
 }
 
-// repinSlots rebuilds the victim selector's pin set: retired slots and the
-// empty row stay pinned, everything else becomes eligible again.
+// repinSlots moves the victim selector's empty-row pin to the table's
+// current empty row. Retired slots stay pinned forever, so the pin set —
+// retired slots plus the empty row — changes by at most one row.
 func (m *Migrator) repinSlots() {
-	for s := uint64(0); s < m.table.Slots(); s++ {
-		if m.table.Retired(int(s)) {
-			continue // pinned forever
-		}
-		m.clock.Unpin(int(s))
+	if p := m.pinnedRow; p >= 0 && !m.table.Retired(p) {
+		m.clock.Unpin(p)
 	}
-	if er := m.table.EmptyRow(); er >= 0 {
-		m.clock.Pin(er)
+	m.pinnedRow = m.table.EmptyRow()
+	if m.pinnedRow >= 0 {
+		m.clock.Pin(m.pinnedRow)
 	}
 }
 
@@ -697,6 +700,9 @@ func (m *Migrator) RetireSlot(s int) ([]SubCopy, error) {
 		return nil, err
 	}
 	m.clock.Pin(s)
+	if s == m.pinnedRow {
+		m.pinnedRow = -1 // pinned now as a retired slot
+	}
 	m.mq.Remove(uint64(s))
 	m.lastSub[s] = -1
 	if m.naive != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"heteromem/internal/snap"
@@ -267,6 +268,19 @@ func (m *Migrator) RestoreFrom(d *snap.Decoder) error {
 	if err := m.clock.RestoreFrom(d); err != nil {
 		return err
 	}
+	// The pinned empty row is derived state: the one pinned slot that is
+	// not retired.
+	m.pinnedRow = -1
+	for s := 0; s < int(m.table.Slots()); s++ {
+		if !m.clock.Pinned(s) || m.table.Retired(s) {
+			continue
+		}
+		if m.pinnedRow >= 0 {
+			d.Invalid("victim selector pins slots %d and %d outside the retired set", m.pinnedRow, s)
+			return d.Err()
+		}
+		m.pinnedRow = s
+	}
 
 	nc := int(d.U32())
 	if d.Err() != nil {
@@ -370,6 +384,21 @@ func (m *Migrator) RestoreFrom(d *snap.Decoder) error {
 			d.Invalid("swap step index %d out of range (%d steps)", stepIdx, nsteps)
 			return d.Err()
 		}
+		// Mid-swap a page can have copies in two slots, and the CAM tracks
+		// the live one, which the restored RAM direction cannot tell.
+		// Replaying the completed steps on the swap-start table can.
+		replay := m.table.rewoundTo(ts)
+		for _, st := range plan.Steps[:stepIdx] {
+			if err := st.mutate(replay); err != nil {
+				d.Invalid("replaying swap step %q: %v", st.Label, err)
+				return d.Err()
+			}
+		}
+		if !slices.Equal(replay.resident, m.table.resident) {
+			d.Invalid("swap steps replayed from the swap-start snapshot do not reproduce the table")
+			return d.Err()
+		}
+		copy(m.table.back, replay.back)
 		m.plan, m.snap, m.stepIdx, m.rollback = plan, ts, stepIdx, rollback
 		m.scratch = ts // recycle the restored snapshot's buffers for later swaps
 	}

@@ -14,6 +14,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"heteromem/internal/config"
 	"heteromem/internal/obs"
@@ -35,9 +36,14 @@ type Device struct {
 	banks   [][]bank // [channel][bank]
 	busFree []int64  // [channel] cycle the data bus frees
 
-	colBits  uint // log2(row columns) — bursts per row
-	bankBits uint
-	chanMask uint64
+	// Address slicing, precomputed by New so Decode is shifts and masks:
+	// line = a >> burstShift; the bank index sits bankShift bits up the
+	// line number and the row rowShift bits up.
+	burstShift uint
+	bankShift  uint
+	rowShift   uint
+	chanMask   uint64
+	bankMask   uint64
 
 	// faultHook, when set, is consulted once per serviced request burst;
 	// returning true marks the delivered data as faulty (the burst still
@@ -59,8 +65,8 @@ type bank struct {
 	lastWrite bool  // last column op was a write (tWR applies at precharge)
 }
 
-// New builds a Device. Channel and bank counts must be powers of two so the
-// address can be sliced with masks.
+// New builds a Device. Channel, bank and burst sizes must be powers of two
+// so the address can be sliced with shifts and masks.
 func New(geom Geometry, timing config.DDR3Timing) (*Device, error) {
 	if geom.Channels <= 0 || geom.Channels&(geom.Channels-1) != 0 {
 		return nil, fmt.Errorf("dram: channel count %d must be a positive power of two", geom.Channels)
@@ -68,16 +74,24 @@ func New(geom Geometry, timing config.DDR3Timing) (*Device, error) {
 	if geom.BanksPerCh <= 0 || geom.BanksPerCh&(geom.BanksPerCh-1) != 0 {
 		return nil, fmt.Errorf("dram: bank count %d must be a positive power of two", geom.BanksPerCh)
 	}
-	if geom.BurstBytes == 0 || geom.RowBytes == 0 || geom.RowBytes%geom.BurstBytes != 0 {
+	if geom.BurstBytes == 0 || geom.BurstBytes&(geom.BurstBytes-1) != 0 {
+		return nil, fmt.Errorf("dram: burst size %d must be a power of two", geom.BurstBytes)
+	}
+	if geom.RowBytes == 0 || geom.RowBytes%geom.BurstBytes != 0 {
 		return nil, fmt.Errorf("dram: row %d must be a positive multiple of burst %d", geom.RowBytes, geom.BurstBytes)
 	}
+	chanBits := log2(uint64(geom.Channels))
+	colBits := log2(geom.RowBytes / geom.BurstBytes) // bursts per row
+	bankBits := log2(uint64(geom.BanksPerCh))
 	d := &Device{
-		geom:     geom,
-		timing:   timing,
-		busFree:  make([]int64, geom.Channels),
-		colBits:  log2(geom.RowBytes / geom.BurstBytes),
-		bankBits: log2(uint64(geom.BanksPerCh)),
-		chanMask: uint64(geom.Channels - 1),
+		geom:       geom,
+		timing:     timing,
+		busFree:    make([]int64, geom.Channels),
+		burstShift: log2(geom.BurstBytes),
+		bankShift:  chanBits + colBits,
+		rowShift:   chanBits + colBits + bankBits,
+		chanMask:   uint64(geom.Channels - 1),
+		bankMask:   uint64(geom.BanksPerCh - 1),
 	}
 	d.banks = make([][]bank, geom.Channels)
 	for c := range d.banks {
@@ -103,22 +117,20 @@ type Location struct {
 // XOR-permuted by row bits (permutation-based interleaving, Zhang et al.),
 // so power-of-two strides do not resonate onto a single bank.
 func (d *Device) Decode(a uint64) Location {
-	line := a / d.geom.BurstBytes
-	chanBits := log2(uint64(d.geom.Channels))
-	row := int64(line >> (chanBits + d.colBits + d.bankBits))
-	b := int((line>>(chanBits+d.colBits) ^ uint64(row)) & (uint64(d.geom.BanksPerCh) - 1))
-	ch := int((line ^ uint64(row)) & d.chanMask)
-	return Location{Channel: ch, Bank: b, Row: row}
+	line := a >> d.burstShift
+	row := line >> d.rowShift
+	return Location{
+		Channel: int((line ^ row) & d.chanMask),
+		Bank:    int((line>>d.bankShift ^ row) & d.bankMask),
+		Row:     int64(row),
+	}
 }
 
-// RowHit reports whether an access to a would hit the currently open row.
-func (d *Device) RowHit(a uint64) bool {
-	loc := d.Decode(a)
+// RowHitLoc reports whether an access decoded to loc would hit the
+// currently open row.
+func (d *Device) RowHitLoc(loc Location) bool {
 	return d.banks[loc.Channel][loc.Bank].openRow == loc.Row
 }
-
-// ChannelOf returns the channel an address maps to (consistent with Decode).
-func (d *Device) ChannelOf(a uint64) int { return d.Decode(a).Channel }
 
 // BusFree returns the cycle channel ch's data bus next frees.
 func (d *Device) BusFree(ch int) int64 { return d.busFree[ch] }
@@ -133,15 +145,15 @@ func (d *Device) BusFree(ch int) int64 { return d.busFree[ch] }
 // matching real DDRx behaviour and the paper's premise that the wide
 // on-package interface streams at interposer speed.
 func (d *Device) Service(a uint64, write bool, at int64) (done, coreLat int64) {
-	done, coreLat, _ = d.ServiceChecked(a, write, at)
+	done, coreLat, _ = d.ServiceLoc(d.Decode(a), a, write, at)
 	return done, coreLat
 }
 
-// ServiceChecked is Service plus the device-fault check: faulted reports
-// whether the configured fault hook failed this burst (the caller decides
-// whether to retry; the timing cost has already been paid either way).
-func (d *Device) ServiceChecked(a uint64, write bool, at int64) (done, coreLat int64, faulted bool) {
-	loc := d.Decode(a)
+// ServiceLoc is Service for address a already decoded to loc, plus the
+// device-fault check: faulted reports whether the configured fault hook
+// failed this burst (the caller decides whether to retry; the timing cost
+// has already been paid either way).
+func (d *Device) ServiceLoc(loc Location, a uint64, write bool, at int64) (done, coreLat int64, faulted bool) {
 	bk := &d.banks[loc.Channel][loc.Bank]
 	issue := at
 	if bk.readyAt > issue {
@@ -188,7 +200,7 @@ func (d *Device) ServiceChecked(a uint64, write bool, at int64) (done, coreLat i
 }
 
 // SetFaultHook installs (or clears, with nil) the per-burst fault check
-// consulted by ServiceChecked.
+// consulted by ServiceLoc.
 func (d *Device) SetFaultHook(h func(a uint64, write bool, at int64) bool) {
 	d.faultHook = h
 }
@@ -207,15 +219,6 @@ func (d *Device) ReserveBus(ch int, at, dur int64) int64 {
 	d.busFree[ch] = end
 	d.bursts += uint64(dur / max64(d.timing.TBurst, 1))
 	return end
-}
-
-// IdleGap reports the idle window [from, until) available on channel ch
-// before cycle `until`; ok is false when the bus is already busy past until.
-func (d *Device) IdleGap(ch int, until int64) (from int64, ok bool) {
-	if d.busFree[ch] >= until {
-		return 0, false
-	}
-	return d.busFree[ch], true
 }
 
 // Stats returns cumulative (rowHits, rowMisses, rowConflicts, bursts).
@@ -251,18 +254,6 @@ func (d *Device) Geometry() Geometry { return d.geom }
 // Timing returns the device timing parameters.
 func (d *Device) Timing() config.DDR3Timing { return d.timing }
 
-// Reset clears all bank/bus state and statistics.
-func (d *Device) Reset() {
-	for c := range d.banks {
-		for b := range d.banks[c] {
-			d.banks[c][b] = bank{openRow: -1}
-		}
-		d.busFree[c] = 0
-	}
-	d.rowHits, d.rowMisses, d.rowConf, d.bursts, d.refreshStalls = 0, 0, 0, 0, 0
-	d.faultedBursts = 0
-}
-
 // afterRefresh pushes a command-issue time out of any all-bank refresh
 // window: refreshes occur every TREFI cycles and block the device for TRFC.
 // TRFC << TREFI, so at most one window needs skipping.
@@ -278,14 +269,8 @@ func (d *Device) afterRefresh(t int64) int64 {
 	return t
 }
 
-func log2(v uint64) uint {
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}
+// log2 returns floor(log2 v) for v >= 1.
+func log2(v uint64) uint { return uint(bits.Len64(v)) - 1 }
 
 func max64(a, b int64) int64 {
 	if a > b {

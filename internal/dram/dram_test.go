@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -26,6 +27,7 @@ func TestNewValidation(t *testing.T) {
 		{Channels: 4, BanksPerCh: 8, RowBytes: 100, BurstBytes: 64},  // row not multiple
 		{Channels: 0, BanksPerCh: 8, RowBytes: 8192, BurstBytes: 64}, // zero channels
 		{Channels: 4, BanksPerCh: 8, RowBytes: 8192, BurstBytes: 0},  // zero burst
+		{Channels: 4, BanksPerCh: 8, RowBytes: 8160, BurstBytes: 48}, // non-pow2 burst
 	}
 	for i, g := range bad {
 		if _, err := New(g, config.OffPackageTiming()); err == nil {
@@ -92,31 +94,71 @@ func TestRowConflictPaysPrechargeAndWriteRecovery(t *testing.T) {
 func TestRowHitDetection(t *testing.T) {
 	d := newTestDevice(t, 2, 8)
 	a := uint64(4096)
-	if d.RowHit(a) {
+	rowHit := func(a uint64) bool { return d.RowHitLoc(d.Decode(a)) }
+	if rowHit(a) {
 		t.Fatal("cold device cannot row-hit")
 	}
 	d.Service(a, false, 0)
-	if !d.RowHit(a) {
+	if !rowHit(a) {
 		t.Fatal("same address must row-hit after access")
 	}
-	if !d.RowHit(a + 64) {
+	if !rowHit(a + 64) {
 		// a+64 maps to a different channel at line interleave, so it may
 		// not share the row; use a same-channel neighbor instead.
 		b := a + 64*uint64(d.Geometry().Channels)
-		if d.Decode(b).Channel == d.Decode(a).Channel && d.Decode(b).Row == d.Decode(a).Row && !d.RowHit(b) {
+		if d.Decode(b).Channel == d.Decode(a).Channel && d.Decode(b).Row == d.Decode(a).Row && !rowHit(b) {
 			t.Fatal("same-row neighbor must row-hit")
 		}
 	}
 }
 
-func TestDecodeConsistentWithChannelOf(t *testing.T) {
-	d := newTestDevice(t, 4, 8)
-	f := func(a uint64) bool {
-		a %= 1 << 32
-		return d.Decode(a).Channel == d.ChannelOf(a)
+// divideDecode is the reference address split Decode must reproduce: the
+// line number by division, each field width by a log2 loop.
+func divideDecode(g Geometry, a uint64) Location {
+	log2 := func(v uint64) uint {
+		var n uint
+		for v > 1 {
+			v >>= 1
+			n++
+		}
+		return n
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	line := a / g.BurstBytes
+	chanBits := log2(uint64(g.Channels))
+	colBits := log2(g.RowBytes / g.BurstBytes)
+	bankBits := log2(uint64(g.BanksPerCh))
+	row := int64(line >> (chanBits + colBits + bankBits))
+	b := int((line>>(chanBits+colBits) ^ uint64(row)) & (uint64(g.BanksPerCh) - 1))
+	ch := int((line ^ uint64(row)) & uint64(g.Channels-1))
+	return Location{Channel: ch, Bank: b, Row: row}
+}
+
+// TestDecodeMatchesDivideFormula checks the shift-and-mask Decode against
+// the divide-based reference over random addresses for every geometry
+// shape the simulator builds, plus non-power-of-two column counts.
+func TestDecodeMatchesDivideFormula(t *testing.T) {
+	prng := rand.New(rand.NewSource(1))
+	for _, channels := range []int{1, 2, 4, 8} {
+		for _, banks := range []int{1, 8, 128} {
+			for _, burst := range []uint64{32, 64, 128} {
+				for _, row := range []uint64{burst, 2048, 8192, 3 * 2048} {
+					g := Geometry{Channels: channels, BanksPerCh: banks, RowBytes: row, BurstBytes: burst}
+					d, err := New(g, config.OffPackageTiming())
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < 2000; i++ {
+						a := prng.Uint64()
+						if i%2 == 0 {
+							a >>= 24 // region-sized addresses too
+						}
+						if got, want := d.Decode(a), divideDecode(g, a); got != want {
+							t.Fatalf("%+v: Decode(%#x) = %+v, want %+v", g, a, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -174,29 +216,6 @@ func TestReserveBusBlocksChannel(t *testing.T) {
 	done, _ := d.Service(0, false, 0)
 	if done < 600 {
 		t.Fatalf("service completed at %d during reservation", done)
-	}
-}
-
-func TestIdleGap(t *testing.T) {
-	d := newTestDevice(t, 1, 8)
-	if from, ok := d.IdleGap(0, 100); !ok || from != 0 {
-		t.Fatalf("idle device gap = %d,%v", from, ok)
-	}
-	d.ReserveBus(0, 0, 200)
-	if _, ok := d.IdleGap(0, 100); ok {
-		t.Fatal("gap reported during busy period")
-	}
-}
-
-func TestReset(t *testing.T) {
-	d := newTestDevice(t, 2, 8)
-	d.Service(0, true, 0)
-	d.Reset()
-	if h, m, c, b := d.Stats(); h+m+c+b != 0 {
-		t.Fatal("stats not cleared")
-	}
-	if d.BusFree(0) != 0 || d.RowHit(0) {
-		t.Fatal("device state not cleared")
 	}
 }
 

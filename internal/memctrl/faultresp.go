@@ -285,8 +285,9 @@ func (c *Controller) stepFaultVerdict(cycle int64) (redo, abort bool) {
 }
 
 // stepFault handles a faulted step completion on the background (N-1/Live)
-// path; true means the normal StepDone chain must not run.
-func (c *Controller) stepFault(cycle int64) bool {
+// path for the finished step st; true means the normal StepDone chain must
+// not run.
+func (c *Controller) stepFault(st *stepState, cycle int64) bool {
 	c.inst.ring.Emit(cycle, obs.EvFault, uint64(fault.PointBulk), 0, uint64(c.stepAttempts))
 	c.inst.spans.Mark(obs.LaneFault, obs.MarkFault, cycle, uint64(fault.PointBulk), 0, uint64(c.stepAttempts))
 	redo, abort := c.stepFaultVerdict(cycle)
@@ -303,7 +304,8 @@ func (c *Controller) stepFault(cycle int64) bool {
 		c.step = nil
 		return true
 	}
-	c.step = &stepState{subsLeft: len(subs)}
+	st.rearm(len(subs)) // st finished: none of its legs is in flight
+	c.step = st
 	for _, sc := range subs {
 		c.enqueueReadLeg(sc, cycle)
 	}

@@ -159,7 +159,8 @@ type Controller struct {
 	jobFree []*sched.BulkJob
 	legFree []*legMeta
 
-	step *stepState // in-flight N-1/Live swap step
+	step      *stepState // in-flight N-1/Live swap step
+	spareStep *stepState // the last cleanly finished swap's step state, for reuse
 
 	stallUntil int64 // N design: execution halted until this cycle
 	osPenalty  int64 // accumulated but not yet applied OS epoch cost
@@ -259,6 +260,25 @@ type stepState struct {
 	undo      bool  // rollback mini-step (no table mutation on completion)
 	aborted   bool  // swap aborted; in-flight legs of this step are stale
 	completed []int // sub indices whose write leg landed (rollback needs them)
+}
+
+// rearm resets st in place for a step of n sub-copies, keeping the storage
+// of its completed list. Only a step with no legs left in flight may be
+// rearmed: an aborted step's stale legs still read its aborted flag.
+func (st *stepState) rearm(n int) {
+	*st = stepState{subsLeft: n, completed: st.completed[:0]}
+}
+
+// newStep returns the state for a new swap's first step of n sub-copies,
+// reusing the last cleanly finished swap's state when there is one.
+func (c *Controller) newStep(n int) *stepState {
+	st := c.spareStep
+	c.spareStep = nil
+	if st == nil {
+		st = new(stepState)
+	}
+	st.rearm(n)
+	return st
 }
 
 // schemeJob is the BulkJob.Meta sentinel distinguishing cache-scheme
@@ -949,7 +969,7 @@ func (c *Controller) beginSwap(subs []core.SubCopy, now int64) error {
 	}
 	c.swapBegin, c.stepBegin = now, now
 	c.stepAttempts = 0
-	c.step = &stepState{subsLeft: len(subs)}
+	c.step = c.newStep(len(subs))
 	for _, sc := range subs {
 		c.enqueueReadLeg(sc, now)
 	}
@@ -1076,7 +1096,7 @@ func (c *Controller) bulkDone(j *sched.BulkJob) {
 	if st.subsLeft > 0 {
 		return
 	}
-	if c.inj != nil && c.inj.Fault(fault.PointBulk) && c.stepFault(done) {
+	if c.inj != nil && c.inj.Fault(fault.PointBulk) && c.stepFault(st, done) {
 		return
 	}
 	mru, _, stepIdx, _, _ := c.mig.CurrentPlan()
@@ -1095,13 +1115,14 @@ func (c *Controller) bulkDone(j *sched.BulkJob) {
 		c.inst.ring.Emit(done, obs.EvSwapDone, mru, uint64(stepIdx+1), 0)
 		c.inst.spans.Span(obs.LaneMigrator, obs.SpanSwap, c.swapBegin, done, c.swapMRU, c.swapVictim, uint64(stepIdx+1))
 		c.auditAt(done, true)
-		c.step = nil
+		c.step, c.spareStep = nil, st
 		c.serviceQuiescent(done)
 		return
 	}
 	c.auditAt(done, false)
 	c.stepAttempts = 0
-	c.step = &stepState{subsLeft: len(next)}
+	st.rearm(len(next))
+	c.step = st
 	for _, sc := range next {
 		c.enqueueReadLeg(sc, done)
 	}

@@ -14,9 +14,11 @@ import (
 type VictimSelector interface {
 	// Touch marks slot as recently used.
 	Touch(slot int)
-	// Pin excludes slot from victim selection; Unpin re-admits it.
+	// Pin excludes slot from victim selection; Unpin re-admits it;
+	// Pinned reports whether it is excluded.
 	Pin(slot int)
 	Unpin(slot int)
+	Pinned(slot int) bool
 	// Victim returns the next victim slot, or -1 if every slot is pinned.
 	Victim() int
 	// BitCost is the hardware cost in bits.
@@ -59,6 +61,11 @@ func (r *RandomVictim) Unpin(slot int) {
 	if slot >= 0 && slot < len(r.pinned) {
 		r.pinned[slot] = false
 	}
+}
+
+// Pinned implements VictimSelector.
+func (r *RandomVictim) Pinned(slot int) bool {
+	return slot >= 0 && slot < len(r.pinned) && r.pinned[slot]
 }
 
 // Victim implements VictimSelector.
@@ -107,6 +114,11 @@ func (f *FIFOVictim) Unpin(slot int) {
 	if slot >= 0 && slot < len(f.pinned) {
 		f.pinned[slot] = false
 	}
+}
+
+// Pinned implements VictimSelector.
+func (f *FIFOVictim) Pinned(slot int) bool {
+	return slot >= 0 && slot < len(f.pinned) && f.pinned[slot]
 }
 
 // Victim implements VictimSelector.

@@ -58,6 +58,10 @@ type Request struct {
 	// across legs. The default scheme leaves both zero.
 	Stage uint8
 	Aux   uint64
+
+	// loc is Addr decoded once at Submit (and on restore); the FR-FCFS
+	// row-hit scan and the device service both read it.
+	loc dram.Location
 }
 
 // Latency returns the request's region-internal latency (queue + DRAM).
@@ -112,14 +116,10 @@ type Scheduler struct {
 	// bus and bank time has been spent either way.
 	onFault func(*Request) (retry bool, backoff int64)
 
-	pending [][]*Request // per channel, arrival order
-	bulk    [][]*BulkJob // per channel, FIFO
-	next    []int64      // per channel: earliest next command-issue decision
-	grant   []int64      // per channel: last aging-grant time (starvation backstop)
-	wake    []int64      // per channel: no decision can commit before this (0 = unknown)
-	work    int          // outstanding requests + bulk jobs across all channels
-	tcl     int64        // cached device TCL for command/data pipelining
-	fcfs    bool         // ablation: strict FCFS instead of FR-FCFS
+	chans []chanState // per channel
+	work  int         // outstanding requests + bulk jobs across all channels
+	tcl   int64       // cached device TCL for command/data pipelining
+	fcfs  bool        // ablation: strict FCFS instead of FR-FCFS
 
 	served      uint64
 	bulkServed  uint64
@@ -129,6 +129,59 @@ type Scheduler struct {
 	// Optional observability instruments (nil-safe; see SetObs).
 	obsGrants *obs.Counter
 	obsStolen *obs.Counter
+}
+
+// chanState is one channel's queues and decision clocks.
+type chanState struct {
+	pending queue[*Request] // foreground, arrival order
+	bulk    queue[*BulkJob] // background, FIFO
+	next    int64           // earliest next command-issue decision
+	grant   int64           // last aging-grant time (starvation backstop)
+	wake    int64           // no decision can commit before this (0 = unknown)
+}
+
+// queue is a head-indexed buffer reused in place: the live items are
+// buf[head:]. Removing the oldest item is a head bump; pushing compacts the
+// live items to the front instead of growing once at least half the buffer
+// is dead head, so a queue of steady depth stops allocating.
+type queue[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *queue[T]) items() []T { return q.buf[q.head:] }
+
+func (q *queue[T]) len() int { return len(q.buf) - q.head }
+
+// push appends v at the tail.
+func (q *queue[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// insert places v at live position i, shifting the younger items back.
+func (q *queue[T]) insert(i int, v T) {
+	q.push(v)
+	it := q.items()
+	copy(it[i+1:], it[i:len(it)-1])
+	it[i] = v
+}
+
+// remove deletes the item at live position i by shifting the older items
+// forward one slot, so removing the oldest (i = 0) moves nothing.
+func (q *queue[T]) remove(i int) {
+	h := q.head
+	copy(q.buf[h+1:h+i+1], q.buf[h:h+i])
+	var zero T
+	q.buf[h] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
 }
 
 // New builds a scheduler over dev. onDone fires as each request's service
@@ -146,7 +199,6 @@ func New(dev *dram.Device, cfg Config, onDone func(*Request), onBulk func(*BulkJ
 	if quantum <= 0 {
 		quantum = DefaultStealQuantum
 	}
-	n := dev.Geometry().Channels
 	return &Scheduler{
 		dev:     dev,
 		aging:   aging,
@@ -154,11 +206,7 @@ func New(dev *dram.Device, cfg Config, onDone func(*Request), onBulk func(*BulkJ
 		fcfs:    cfg.FCFSOnly,
 		onDone:  onDone,
 		onBulk:  onBulk,
-		pending: make([][]*Request, n),
-		bulk:    make([][]*BulkJob, n),
-		next:    make([]int64, n),
-		grant:   make([]int64, n),
-		wake:    make([]int64, n),
+		chans:   make([]chanState, dev.Geometry().Channels),
 		tcl:     dev.Timing().TCL,
 	}, nil
 }
@@ -166,9 +214,9 @@ func New(dev *dram.Device, cfg Config, onDone func(*Request), onBulk func(*BulkJ
 // Submit enqueues a request and advances its channel as far as the global
 // clock `now` (>= r.Arrive) allows.
 func (s *Scheduler) Submit(r *Request, now int64) {
-	ch := s.dev.ChannelOf(r.Addr)
-	s.insert(ch, r)
-	s.drain(ch, now)
+	r.loc = s.dev.Decode(r.Addr)
+	s.insert(r)
+	s.drain(r.loc.Channel, now)
 }
 
 // SetFaultHandler installs the retry-policy callback consulted when the
@@ -179,17 +227,19 @@ func (s *Scheduler) SetFaultHandler(h func(*Request) (retry bool, backoff int64)
 }
 
 // insert adds r to its channel queue keeping arrival order. Trace arrivals
-// are monotonic so this is normally an append; fault retries re-arrive in
-// the future and may interleave with younger submissions, so the queue
-// must stay sorted for the decision-time logic to hold.
-func (s *Scheduler) insert(ch int, r *Request) {
+// are monotonic so this is normally a tail append; fault retries re-arrive
+// in the future and may interleave with younger submissions, so they go
+// after every request arriving no later (equal arrivals stay FIFO) to keep
+// the queue sorted for the decision-time logic.
+func (s *Scheduler) insert(r *Request) {
 	s.work++
-	q := s.pending[ch]
-	i := sort.Search(len(q), func(i int) bool { return q[i].Arrive > r.Arrive })
-	q = append(q, nil)
-	copy(q[i+1:], q[i:])
-	q[i] = r
-	s.pending[ch] = q
+	q := &s.chans[r.loc.Channel].pending
+	it := q.items()
+	if n := len(it); n == 0 || it[n-1].Arrive <= r.Arrive {
+		q.push(r)
+		return
+	}
+	q.insert(sort.Search(len(it), func(i int) bool { return it[i].Arrive > r.Arrive }), r)
 }
 
 // SubmitBulk enqueues a background bulk job on channel ch.
@@ -200,7 +250,7 @@ func (s *Scheduler) SubmitBulk(ch int, j *BulkJob, now int64) {
 		j.enqueued = j.Earliest
 	}
 	s.work++
-	s.bulk[ch] = append(s.bulk[ch], j)
+	s.chans[ch].bulk.push(j)
 	s.drain(ch, now)
 }
 
@@ -213,14 +263,12 @@ func (s *Scheduler) Advance(now int64) {
 	if s.work == 0 {
 		return
 	}
-	for ch := range s.pending {
-		if len(s.pending[ch]) == 0 && len(s.bulk[ch]) == 0 {
-			continue
-		}
+	for ch := range s.chans {
+		cs := &s.chans[ch]
 		// drain recorded when the channel's next decision becomes safe;
 		// until the clock gets there a re-drain would just recompute the
 		// same early exit.
-		if s.wake[ch] > now {
+		if cs.wake > now || cs.pending.len() == 0 && cs.bulk.len() == 0 {
 			continue
 		}
 		s.drain(ch, now)
@@ -232,7 +280,7 @@ func (s *Scheduler) Advance(now int64) {
 func (s *Scheduler) Flush() int64 {
 	const horizon = int64(1) << 62
 	var last int64
-	for ch := range s.pending {
+	for ch := range s.chans {
 		s.drain(ch, horizon)
 		if f := s.dev.BusFree(ch); f > last {
 			last = f
@@ -244,10 +292,11 @@ func (s *Scheduler) Flush() int64 {
 // drain commits scheduling decisions on channel ch while they are safe
 // (decision time <= now).
 func (s *Scheduler) drain(ch int, now int64) {
-	s.wake[ch] = 0
+	cs := &s.chans[ch]
+	cs.wake = 0
 	for {
-		fg := s.pending[ch]
-		bg := s.bulk[ch]
+		fg := cs.pending.items()
+		bg := cs.bulk.items()
 		if len(fg) == 0 && len(bg) == 0 {
 			return
 		}
@@ -259,7 +308,7 @@ func (s *Scheduler) drain(ch int, now int64) {
 		// rate instead of re-paying the CAS latency per request.
 		fgAt := int64(math.MaxInt64)
 		if len(fg) > 0 {
-			fgAt = s.next[ch]
+			fgAt = cs.next
 			if fg[0].Arrive > fgAt {
 				fgAt = fg[0].Arrive
 			}
@@ -283,7 +332,7 @@ func (s *Scheduler) drain(ch int, now int64) {
 				case fgAt > bgAt:
 					// Fill the gap before the next foreground decision.
 					quantum = min64(j.remaining, fgAt-bgAt)
-				case now-j.enqueued > s.aging && now-s.grant[ch] > s.aging:
+				case now-j.enqueued > s.aging && now-cs.grant > s.aging:
 					// Saturated channel: the job has starved a full aging
 					// period of wall-clock time; grant one quantum ahead of
 					// foreground work so copies keep a minimum service rate.
@@ -291,20 +340,20 @@ func (s *Scheduler) drain(ch int, now int64) {
 					// starved jobs cannot cascade back-to-back.
 					quantum = min64(j.remaining, s.quantum)
 					j.enqueued = now
-					s.grant[ch] = now
+					cs.grant = now
 					s.agingGrants++
 					s.obsGrants.Inc()
 				}
 				if quantum > 0 {
 					s.obsStolen.Add(uint64(quantum))
 					end := s.dev.ReserveBus(ch, bgAt, quantum)
-					if n := end - s.tcl; n > s.next[ch] {
-						s.next[ch] = n
+					if n := end - s.tcl; n > cs.next {
+						cs.next = n
 					}
 					j.remaining -= quantum
 					if j.remaining == 0 {
 						j.Done = end
-						s.bulk[ch] = bg[1:]
+						cs.bulk.remove(0)
 						s.bulkServed++
 						if s.onBulk != nil {
 							s.onBulk(j)
@@ -323,9 +372,9 @@ func (s *Scheduler) drain(ch int, now int64) {
 		if len(fg) == 0 || fgAt > now {
 			if len(fg) > 0 && len(bg) == 0 {
 				// Nothing can commit before fgAt: the queue is sorted by
-				// arrival and s.next only moves through this loop, and with
+				// arrival and cs.next only moves through this loop, and with
 				// no background job there is no cycle-stealing to revisit.
-				s.wake[ch] = fgAt
+				cs.wake = fgAt
 			}
 			return
 		}
@@ -338,7 +387,7 @@ func (s *Scheduler) drain(ch int, now int64) {
 				if r.Arrive > fgAt {
 					break
 				}
-				if s.dev.RowHit(r.Addr) {
+				if s.dev.RowHitLoc(r.loc) {
 					pick = i
 					break
 				}
@@ -348,11 +397,11 @@ func (s *Scheduler) drain(ch int, now int64) {
 			pick = 0
 		}
 		r := fg[pick]
-		done, coreLat, faulted := s.dev.ServiceChecked(r.Addr, r.Write, fgAt)
-		if n := done - s.tcl; n > s.next[ch] {
-			s.next[ch] = n
+		done, coreLat, faulted := s.dev.ServiceLoc(r.loc, r.Addr, r.Write, fgAt)
+		if n := done - s.tcl; n > cs.next {
+			cs.next = n
 		}
-		s.pending[ch] = append(fg[:pick], fg[pick+1:]...)
+		cs.pending.remove(pick)
 		s.work--
 		if faulted && s.onFault != nil {
 			if retry, backoff := s.onFault(r); retry {
@@ -360,7 +409,7 @@ func (s *Scheduler) drain(ch int, now int64) {
 				// after the backoff and arbitrates like any other request.
 				r.Attempts++
 				r.Arrive = done + backoff
-				s.insert(ch, r)
+				s.insert(r)
 				continue
 			}
 		}
@@ -377,8 +426,8 @@ func (s *Scheduler) drain(ch int, now int64) {
 // QueueLen returns the total number of waiting foreground requests.
 func (s *Scheduler) QueueLen() int {
 	n := 0
-	for _, q := range s.pending {
-		n += len(q)
+	for ch := range s.chans {
+		n += s.chans[ch].pending.len()
 	}
 	return n
 }
@@ -386,8 +435,8 @@ func (s *Scheduler) QueueLen() int {
 // BulkBacklog returns the number of waiting background jobs.
 func (s *Scheduler) BulkBacklog() int {
 	n := 0
-	for _, q := range s.bulk {
-		n += len(q)
+	for ch := range s.chans {
+		n += s.chans[ch].bulk.len()
 	}
 	return n
 }

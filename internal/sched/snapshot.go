@@ -9,20 +9,21 @@ import "heteromem/internal/snap"
 // arrival, address, and retry count reconstruct them exactly. The device,
 // callbacks, and tuning parameters are construction inputs.
 func (s *Scheduler) SnapshotTo(e *snap.Encoder) {
-	e.U32(uint32(len(s.pending)))
-	for ch := range s.pending {
-		e.I64(s.next[ch])
-		e.I64(s.grant[ch])
-		e.U32(uint32(len(s.pending[ch])))
-		for _, r := range s.pending[ch] {
+	e.U32(uint32(len(s.chans)))
+	for ch := range s.chans {
+		cs := &s.chans[ch]
+		e.I64(cs.next)
+		e.I64(cs.grant)
+		e.U32(uint32(cs.pending.len()))
+		for _, r := range cs.pending.items() {
 			e.U64(r.ID)
 			e.I64(r.Arrive)
 			e.U64(r.Addr)
 			e.Bool(r.Write)
 			e.U32(uint32(r.Attempts))
 		}
-		e.U32(uint32(len(s.bulk[ch])))
-		for _, j := range s.bulk[ch] {
+		e.U32(uint32(cs.bulk.len()))
+		for _, j := range cs.bulk.items() {
 			e.U64(j.Tag)
 			e.I64(j.Duration)
 			e.I64(j.Earliest)
@@ -45,18 +46,17 @@ func (s *Scheduler) RestoreFrom(d *snap.Decoder) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if nc != len(s.pending) {
-		d.Invalid("scheduler has %d channels, snapshot has %d", len(s.pending), nc)
+	if nc != len(s.chans) {
+		d.Invalid("scheduler has %d channels, snapshot has %d", len(s.chans), nc)
 		return d.Err()
 	}
-	for ch := range s.pending {
-		s.next[ch] = d.I64()
-		s.grant[ch] = d.I64()
+	for ch := range s.chans {
+		cs := &s.chans[ch]
+		*cs = chanState{next: d.I64(), grant: d.I64()}
 		nf := int(d.U32())
 		if d.Err() != nil {
 			return d.Err()
 		}
-		s.pending[ch] = make([]*Request, 0, nf)
 		for i := 0; i < nf; i++ {
 			r := &Request{
 				ID:     d.U64(),
@@ -68,13 +68,13 @@ func (s *Scheduler) RestoreFrom(d *snap.Decoder) error {
 			if d.Err() != nil {
 				return d.Err()
 			}
-			s.pending[ch] = append(s.pending[ch], r)
+			r.loc = s.dev.Decode(r.Addr)
+			cs.pending.push(r)
 		}
 		nb := int(d.U32())
 		if d.Err() != nil {
 			return d.Err()
 		}
-		s.bulk[ch] = make([]*BulkJob, 0, nb)
 		for i := 0; i < nb; i++ {
 			j := &BulkJob{
 				Tag:      d.U64(),
@@ -86,7 +86,7 @@ func (s *Scheduler) RestoreFrom(d *snap.Decoder) error {
 			if d.Err() != nil {
 				return d.Err()
 			}
-			s.bulk[ch] = append(s.bulk[ch], j)
+			cs.bulk.push(j)
 		}
 	}
 	s.served = d.U64()
@@ -102,8 +102,8 @@ func (s *Scheduler) RestoreFrom(d *snap.Decoder) error {
 // ForEachPending visits every waiting foreground request in deterministic
 // order (channel ascending, queue position ascending).
 func (s *Scheduler) ForEachPending(fn func(ch int, r *Request)) {
-	for ch, q := range s.pending {
-		for _, r := range q {
+	for ch := range s.chans {
+		for _, r := range s.chans[ch].pending.items() {
 			fn(ch, r)
 		}
 	}
@@ -112,8 +112,8 @@ func (s *Scheduler) ForEachPending(fn func(ch int, r *Request)) {
 // ForEachBulk visits every waiting background job in deterministic order
 // (channel ascending, queue position ascending).
 func (s *Scheduler) ForEachBulk(fn func(ch int, j *BulkJob)) {
-	for ch, q := range s.bulk {
-		for _, j := range q {
+	for ch := range s.chans {
+		for _, j := range s.chans[ch].bulk.items() {
 			fn(ch, j)
 		}
 	}

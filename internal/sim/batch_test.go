@@ -26,14 +26,8 @@ func (c *cappedSource) NextBatch(b *trace.Batch) (int, error) {
 	if n > c.cap {
 		n = c.cap
 	}
-	for i := 0; i < n; i++ {
-		r, err := c.src.Next()
-		if err != nil {
-			return i, err
-		}
-		b.Set(i, r)
-	}
-	return n, nil
+	head := trace.Batch{Cycle: b.Cycle[:n], Addr: b.Addr[:n], CPU: b.CPU[:n], Write: b.Write[:n]}
+	return trace.FillBatch(c.src, &head)
 }
 
 // plainSource hides the batch and seek interfaces of the wrapped source, so

@@ -169,3 +169,26 @@ func TestMergeCommutative(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBucketOfMatchesShiftLoop pins the histogram bucket index to the shift
+// loop it replaced, at every power-of-two edge.
+func TestBucketOfMatchesShiftLoop(t *testing.T) {
+	loop := func(v uint64) int {
+		b := 0
+		for v > 1 {
+			v >>= 1
+			b++
+		}
+		return b
+	}
+	vals := []uint64{0, 1, math.MaxInt64, math.MaxUint64}
+	for k := 1; k < 64; k++ {
+		p := uint64(1) << k
+		vals = append(vals, p-1, p, p+1)
+	}
+	for _, v := range vals {
+		if got, want := bucketOf(v), loop(v); got != want {
+			t.Fatalf("bucketOf(%d) = %d, want %d", v, got, want)
+		}
+	}
+}

@@ -42,14 +42,6 @@ func (b *Batch) Record(i int) Record {
 	return Record{Cycle: b.Cycle[i], Addr: b.Addr[i], CPU: b.CPU[i], Write: b.Write[i]}
 }
 
-// Set stores r at index i.
-func (b *Batch) Set(i int, r Record) {
-	b.Cycle[i] = r.Cycle
-	b.Addr[i] = r.Addr
-	b.CPU[i] = r.CPU
-	b.Write[i] = r.Write
-}
-
 // head returns a view of the first n records without copying.
 func (b *Batch) head(n int) Batch {
 	return Batch{Cycle: b.Cycle[:n], Addr: b.Addr[:n], CPU: b.CPU[:n], Write: b.Write[:n]}
