@@ -2,10 +2,29 @@ package core
 
 import "fmt"
 
+// slotOp is the translation-table update a swap step commits on its slot.
+type slotOp uint8
+
+const (
+	opNone    slotOp = iota // the step moves data only
+	opInstall               // the step's page now resides in the slot
+	opVacate                // the slot is empty; its own page becomes the Ghost
+)
+
+// pBit is the change a swap step makes to its slot row's P bit.
+type pBit uint8
+
+const (
+	pKeep pBit = iota
+	pSet
+	pClear
+)
+
 // Step is one macro-page copy (or exchange) of a swap plan. Steps execute
-// strictly in order; the table mutation attached to a step applies when its
-// last byte has moved, which is what lets the N-1 design keep every page
-// reachable at a valid physical location throughout the swap.
+// strictly in order; a step's table update applies when its last byte has
+// moved, which is what lets the N-1 design keep every page reachable at a
+// valid physical location throughout the swap. The update is plain data:
+// op on slot (installing page), then the P-bit change on slot's row.
 type Step struct {
 	Src uint64 // machine page the data moves from
 	Dst uint64 // machine page the data moves to
@@ -24,239 +43,153 @@ type Step struct {
 	// to it for not-yet-copied sub-blocks).
 	OldMachine uint64
 
-	Label  string
-	mutate func(*Table) error
+	Label string
+
+	op   slotOp
+	slot int
+	page uint64 // the page opInstall places in slot
+	pbit pBit
 }
+
+// apply commits the step's table update.
+func (st *Step) apply(t *Table) error {
+	var err error
+	switch st.op {
+	case opInstall:
+		err = t.Install(st.slot, st.page)
+	case opVacate:
+		err = t.Vacate(st.slot)
+	}
+	if err == nil && st.pbit != pKeep {
+		t.SetPending(uint64(st.slot), st.pbit == pSet)
+	}
+	return err
+}
+
+// maxSteps bounds a plan's length: case (d) of Fig. 8 has five copies.
+const maxSteps = 5
 
 // Plan is a full hottest-coldest swap: the ordered steps plus bookkeeping.
+// Steps lives in the plan's own fixed storage, so rebuilding a plan in
+// place allocates nothing.
 type Plan struct {
 	MRU    uint64 // physical macro page being promoted
-	Victim int    // on-package slot being demoted (-1 when the swap only restores)
+	Victim int    // on-package slot being demoted
 	Steps  []Step
+	store  [maxSteps]Step
 }
 
-// BuildPlanN1 constructs the swap plan of the N-1 (and Live) designs for
-// promoting MRU page m and demoting the page in slot victim, covering the
-// four cases of Fig. 8 plus the two corner cases (MRU is the Ghost page;
-// MRU's swap partner occupies the victim slot).
-func BuildPlanN1(t *Table, m uint64, victim int) (*Plan, error) {
-	if t.emptyRow < 0 {
-		return nil, fmt.Errorf("core: N-1 plan requires an empty slot")
-	}
+func (p *Plan) add(st Step) { p.Steps = append(p.Steps, st) }
+
+// build fills p with the swap plan that promotes MRU page m and demotes the
+// page in slot victim under design d. It is the one plan builder: the
+// migrator runs it when a swap starts and again on restore, against the
+// table rewound to the swap-start snapshot.
+func (p *Plan) build(d Design, t *Table, m uint64, victim int) error {
 	if victim < 0 || uint64(victim) >= t.n {
-		return nil, fmt.Errorf("core: victim slot %d out of range", victim)
-	}
-	if victim == t.emptyRow {
-		return nil, fmt.Errorf("core: victim slot %d is the empty slot", victim)
+		return fmt.Errorf("core: victim slot %d out of range", victim)
 	}
 	if s := t.SlotOf(m); s >= 0 {
-		return nil, fmt.Errorf("core: MRU page %d already on-package (slot %d)", m, s)
+		return fmt.Errorf("core: MRU page %d already on-package (slot %d)", m, s)
 	}
+	p.MRU, p.Victim, p.Steps = m, victim, p.store[:0]
+	if d == DesignN {
+		return p.buildN(t, m, victim)
+	}
+	return p.buildN1(t, m, victim)
+}
+
+// buildN1 is the plan of the N-1 (and Live) designs, covering the four
+// cases of Fig. 8 plus the two corner cases (MRU is the Ghost page; MRU's
+// swap partner occupies the victim slot). The MRU is first promoted
+// through the empty slot; the victim is then demoted into Ω, which leaves
+// the victim's slot as the new empty slot.
+func (p *Plan) buildN1(t *Table, m uint64, victim int) error {
 	er := t.emptyRow
-	erPage := uint64(er)
+	if er < 0 {
+		return fmt.Errorf("core: N-1 plan requires an empty slot")
+	}
+	if victim == er {
+		return fmt.Errorf("core: victim slot %d is the empty slot", victim)
+	}
 	omega := t.Omega()
-	slotPage := func(s int) uint64 { return uint64(s) }
-	x := t.resident[victim] // victim page: == victim (OF) or q >= N (MF)
+	ers := uint64(er) // the empty slot's machine page
 
 	switch t.Classify(m) {
 	case OriginalSlow:
-		if x == uint64(victim) {
-			// Case (a): MRU >= N, LRU < N (Fig. 8a).
-			return &Plan{MRU: m, Victim: victim, Steps: []Step{
-				{Src: m, Dst: slotPage(er), Critical: true, OldMachine: m,
-					Label: "OS-MRU -> empty slot",
-					mutate: func(t *Table) error {
-						if err := t.Install(er, m); err != nil {
-							return err
-						}
-						t.SetPending(erPage, true)
-						return nil
-					}},
-				{Src: omega, Dst: m, Label: "ghost data -> MRU home",
-					mutate: func(t *Table) error { t.SetPending(erPage, false); return nil }},
-				{Src: slotPage(victim), Dst: omega, Label: "LRU -> omega",
-					mutate: func(t *Table) error { return t.Vacate(victim) }},
-			}}, nil
-		}
-		// Case (b): MRU >= N, LRU >= N (Fig. 8b).
-		q := x
-		vp := uint64(victim)
-		return &Plan{MRU: m, Victim: victim, Steps: []Step{
-			{Src: m, Dst: slotPage(er), Critical: true, OldMachine: m,
-				Label: "OS-MRU -> empty slot",
-				mutate: func(t *Table) error {
-					if err := t.Install(er, m); err != nil {
-						return err
-					}
-					t.SetPending(erPage, true)
-					return nil
-				}},
-			{Src: omega, Dst: m, Label: "ghost data -> MRU home",
-				mutate: func(t *Table) error { t.SetPending(erPage, false); return nil }},
-			{Src: q, Dst: omega, Label: "victim-row data -> omega",
-				mutate: func(t *Table) error { t.SetPending(vp, true); return nil }},
-			{Src: slotPage(victim), Dst: q, Label: "MF-LRU -> its home",
-				mutate: func(t *Table) error {
-					if err := t.Vacate(victim); err != nil {
-						return err
-					}
-					t.SetPending(vp, false)
-					return nil
-				}},
-		}}, nil
-
+		// Cases (a)/(b), steps 1-2 (Fig. 8a/8b): the MRU enters the empty
+		// slot; the Ghost's data goes to the MRU's home.
+		p.add(Step{Src: m, Dst: ers, Critical: true, OldMachine: m, Label: "OS-MRU -> empty slot",
+			op: opInstall, slot: er, page: m, pbit: pSet})
+		p.add(Step{Src: omega, Dst: m, Label: "ghost data -> MRU home", slot: er, pbit: pClear})
 	case MigratedSlow:
-		e := t.resident[m] // MRU's swap partner, resident in slot m
-		if int(m) == victim {
-			// Corner case: the victim slot holds the MRU's own partner.
-			// Restore both via the empty slot as a bounce buffer.
-			return &Plan{MRU: m, Victim: victim, Steps: []Step{
-				{Src: slotPage(int(m)), Dst: slotPage(er), Label: "partner -> empty slot",
-					mutate: func(t *Table) error {
-						if err := t.Install(er, e); err != nil {
-							return err
-						}
-						t.SetPending(erPage, true)
-						return nil
-					}},
-				{Src: e, Dst: slotPage(int(m)), Critical: true, OldMachine: e,
-					Label:  "MS-MRU -> its own slot",
-					mutate: func(t *Table) error { return t.Install(int(m), m) }},
-				{Src: slotPage(er), Dst: e, Label: "partner -> its home",
-					mutate: func(t *Table) error {
-						if err := t.Vacate(er); err != nil {
-							return err
-						}
-						t.SetPending(erPage, false)
-						return nil
-					}},
-			}}, nil
+		// Cases (c)/(d), steps 1-3 (Fig. 8c/8d): the partner e in slot m
+		// moves to the empty slot, the MRU returns to its own slot, and the
+		// Ghost's data goes to e's home.
+		e, s := t.resident[m], int(m)
+		p.add(Step{Src: m, Dst: ers, Label: "partner -> empty slot",
+			op: opInstall, slot: er, page: e, pbit: pSet})
+		p.add(Step{Src: e, Dst: m, Critical: true, OldMachine: e, Label: "MS-MRU -> its own slot",
+			op: opInstall, slot: s, page: m})
+		if s == victim {
+			// Corner case: the victim slot held the MRU's own partner, so
+			// the empty slot was only a bounce buffer; sending the partner
+			// home is the whole demotion.
+			p.add(Step{Src: ers, Dst: e, Label: "partner -> its home", op: opVacate, slot: er, pbit: pClear})
+			return nil
 		}
-		head := []Step{
-			// Case (c)/(d) steps 1-3 (Fig. 8c/8d).
-			{Src: slotPage(int(m)), Dst: slotPage(er), Label: "partner -> empty slot",
-				mutate: func(t *Table) error {
-					if err := t.Install(er, e); err != nil {
-						return err
-					}
-					t.SetPending(erPage, true)
-					return nil
-				}},
-			{Src: e, Dst: slotPage(int(m)), Critical: true, OldMachine: e,
-				Label:  "MS-MRU -> its own slot",
-				mutate: func(t *Table) error { return t.Install(int(m), m) }},
-			{Src: omega, Dst: e, Label: "ghost data -> partner home",
-				mutate: func(t *Table) error { t.SetPending(erPage, false); return nil }},
-		}
-		if x == uint64(victim) {
-			// Case (c): LRU < N.
-			return &Plan{MRU: m, Victim: victim, Steps: append(head, Step{
-				Src: slotPage(victim), Dst: omega, Label: "LRU -> omega",
-				mutate: func(t *Table) error { return t.Vacate(victim) },
-			})}, nil
-		}
-		// Case (d): LRU >= N.
-		q := x
-		vp := uint64(victim)
-		return &Plan{MRU: m, Victim: victim, Steps: append(head,
-			Step{Src: q, Dst: omega, Label: "victim-row data -> omega",
-				mutate: func(t *Table) error { t.SetPending(vp, true); return nil }},
-			Step{Src: slotPage(victim), Dst: q, Label: "MF-LRU -> its home",
-				mutate: func(t *Table) error {
-					if err := t.Vacate(victim); err != nil {
-						return err
-					}
-					t.SetPending(vp, false)
-					return nil
-				}},
-		)}, nil
-
+		p.add(Step{Src: omega, Dst: e, Label: "ghost data -> partner home", slot: er, pbit: pClear})
 	case GhostPage:
-		// Corner case: the MRU is the Ghost page parked in Ω; its own slot
-		// is the empty slot. Bring it home, then demote the victim.
+		// Corner case: the MRU is the Ghost parked in Ω and its own slot is
+		// the empty slot. Bring it home.
 		if int(m) != er {
-			return nil, fmt.Errorf("core: ghost page %d but empty row is %d", m, er)
+			return fmt.Errorf("core: ghost page %d but empty row is %d", m, er)
 		}
-		restore := Step{Src: omega, Dst: slotPage(er), Critical: true, OldMachine: omega,
-			Label:  "ghost MRU -> its own slot",
-			mutate: func(t *Table) error { return t.Install(er, m) }}
-		if x == uint64(victim) {
-			// OF victim: park it in Ω.
-			return &Plan{MRU: m, Victim: victim, Steps: []Step{restore,
-				{Src: slotPage(victim), Dst: omega, Label: "LRU -> omega",
-					mutate: func(t *Table) error { return t.Vacate(victim) }},
-			}}, nil
-		}
-		// MF victim (slot holds q >= N; the victim page's data sits at q's
-		// home): park the victim page in Ω, then send q home.
-		q := x
-		vp := uint64(victim)
-		return &Plan{MRU: m, Victim: victim, Steps: []Step{restore,
-			{Src: q, Dst: omega, Label: "victim-row data -> omega",
-				mutate: func(t *Table) error { t.SetPending(vp, true); return nil }},
-			{Src: slotPage(victim), Dst: q, Label: "MF-LRU -> its home",
-				mutate: func(t *Table) error {
-					if err := t.Vacate(victim); err != nil {
-						return err
-					}
-					t.SetPending(vp, false)
-					return nil
-				}},
-		}}, nil
-
+		p.add(Step{Src: omega, Dst: ers, Critical: true, OldMachine: omega, Label: "ghost MRU -> its own slot",
+			op: opInstall, slot: er, page: m})
 	default:
-		return nil, fmt.Errorf("core: MRU page %d is %v, not promotable", m, t.Classify(m))
+		return fmt.Errorf("core: MRU page %d is %v, not promotable", m, t.Classify(m))
 	}
+
+	vs := uint64(victim) // the victim slot's machine page
+	if q := t.resident[victim]; q != vs {
+		// MF victim: the slot holds q >= N and the victim page's data sits
+		// at q's home. Park the victim page in Ω, then send q home.
+		p.add(Step{Src: q, Dst: omega, Label: "victim-row data -> omega", slot: victim, pbit: pSet})
+		p.add(Step{Src: vs, Dst: q, Label: "MF-LRU -> its home", op: opVacate, slot: victim, pbit: pClear})
+		return nil
+	}
+	// OF victim: park it in Ω.
+	p.add(Step{Src: vs, Dst: omega, Label: "LRU -> omega", op: opVacate, slot: victim})
+	return nil
 }
 
-// BuildPlanN constructs the swap plan of the basic N design, which uses
-// atomic page exchanges through the controller (no empty slot, no Ω) and
-// stalls execution until the exchange completes.
-func BuildPlanN(t *Table, m uint64, victim int) (*Plan, error) {
+// buildN is the plan of the basic N design, which uses atomic page
+// exchanges through the controller (no empty slot, no Ω) and stalls
+// execution until the exchange completes.
+func (p *Plan) buildN(t *Table, m uint64, victim int) error {
 	if t.emptyRow >= 0 {
-		return nil, fmt.Errorf("core: N plan requires no empty slot")
+		return fmt.Errorf("core: N plan requires no empty slot")
 	}
-	if victim < 0 || uint64(victim) >= t.n {
-		return nil, fmt.Errorf("core: victim slot %d out of range", victim)
-	}
-	if s := t.SlotOf(m); s >= 0 {
-		return nil, fmt.Errorf("core: MRU page %d already on-package (slot %d)", m, s)
-	}
-	slotPage := func(s int) uint64 { return uint64(s) }
-
+	vs := uint64(victim)
 	switch t.Classify(m) {
 	case OriginalSlow:
-		x := t.resident[victim]
-		if x == uint64(victim) {
-			// OF victim: single exchange.
-			return &Plan{MRU: m, Victim: victim, Steps: []Step{
-				{Src: slotPage(victim), Dst: m, Exchange: true, Critical: true, OldMachine: m,
-					Label:  "exchange victim slot <-> MRU home",
-					mutate: func(t *Table) error { return t.Install(victim, m) }},
-			}}, nil
+		if q := t.resident[victim]; q != vs {
+			// MF victim: restore it first, then exchange in the MRU.
+			p.add(Step{Src: vs, Dst: q, Exchange: true, Label: "restore MF victim <-> its home",
+				op: opInstall, slot: victim, page: vs})
 		}
-		// MF victim: restore it first, then exchange in the MRU.
-		q := x
-		return &Plan{MRU: m, Victim: victim, Steps: []Step{
-			{Src: slotPage(victim), Dst: q, Exchange: true,
-				Label:  "restore MF victim <-> its home",
-				mutate: func(t *Table) error { return t.Install(victim, uint64(victim)) }},
-			{Src: slotPage(victim), Dst: m, Exchange: true, Critical: true, OldMachine: m,
-				Label:  "exchange victim slot <-> MRU home",
-				mutate: func(t *Table) error { return t.Install(victim, m) }},
-		}}, nil
-
+		p.add(Step{Src: vs, Dst: m, Exchange: true, Critical: true, OldMachine: m, Label: "exchange victim slot <-> MRU home",
+			op: opInstall, slot: victim, page: m})
 	case MigratedSlow:
 		// Restoring the MS page is itself the promotion: its partner is
 		// evicted by the same exchange, regardless of the chosen victim.
 		e := t.resident[m]
-		return &Plan{MRU: m, Victim: int(m), Steps: []Step{
-			{Src: slotPage(int(m)), Dst: e, Exchange: true, Critical: true, OldMachine: e,
-				Label:  "restore MS MRU <-> partner home",
-				mutate: func(t *Table) error { return t.Install(int(m), m) }},
-		}}, nil
-
+		p.Victim = int(m)
+		p.add(Step{Src: m, Dst: e, Exchange: true, Critical: true, OldMachine: e, Label: "restore MS MRU <-> partner home",
+			op: opInstall, slot: int(m), page: m})
 	default:
-		return nil, fmt.Errorf("core: MRU page %d is %v, not promotable in N design", m, t.Classify(m))
+		return fmt.Errorf("core: MRU page %d is %v, not promotable in N design", m, t.Classify(m))
 	}
+	return nil
 }

@@ -25,11 +25,23 @@ func planFixture(t *testing.T) *Table {
 	return tb
 }
 
+// planN1 and planN build a plan the way the migrator does for the N-1 and
+// N designs.
+func planN1(tb *Table, m uint64, victim int) (*Plan, error) {
+	p := new(Plan)
+	return p, p.build(DesignN1, tb, m, victim)
+}
+
+func planN(tb *Table, m uint64, victim int) (*Plan, error) {
+	p := new(Plan)
+	return p, p.build(DesignN, tb, m, victim)
+}
+
 // execute runs a plan to completion, checking invariants at the end.
 func execute(t *testing.T, tb *Table, plan *Plan) {
 	t.Helper()
 	for _, st := range plan.Steps {
-		if err := st.mutate(tb); err != nil {
+		if err := st.apply(tb); err != nil {
 			t.Fatalf("step %q: %v", st.Label, err)
 		}
 	}
@@ -40,7 +52,7 @@ func execute(t *testing.T, tb *Table, plan *Plan) {
 
 func TestPlanCaseA_OSMruOFVictim(t *testing.T) {
 	tb := planFixture(t)
-	plan, err := BuildPlanN1(tb, 30, 1) // OS page 30, OF victim slot 1
+	plan, err := planN1(tb, 30, 1) // OS page 30, OF victim slot 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +78,7 @@ func TestPlanCaseA_OSMruOFVictim(t *testing.T) {
 
 func TestPlanCaseB_OSMruMFVictim(t *testing.T) {
 	tb := planFixture(t)
-	plan, err := BuildPlanN1(tb, 30, 2) // OS page 30, MF victim (slot 2 holds 20)
+	plan, err := planN1(tb, 30, 2) // OS page 30, MF victim (slot 2 holds 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +101,7 @@ func TestPlanCaseB_OSMruMFVictim(t *testing.T) {
 
 func TestPlanCaseC_MSMruOFVictim(t *testing.T) {
 	tb := planFixture(t)
-	plan, err := BuildPlanN1(tb, 2, 1) // MS page 2 (partner 20 in slot 2), OF victim slot 1
+	plan, err := planN1(tb, 2, 1) // MS page 2 (partner 20 in slot 2), OF victim slot 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +128,7 @@ func TestPlanCaseD_MSMruMFVictim(t *testing.T) {
 	if err := tb.Install(3, 40); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := BuildPlanN1(tb, 2, 3) // MS page 2, MF victim (slot 3 holds 40)
+	plan, err := planN1(tb, 2, 3) // MS page 2, MF victim (slot 3 holds 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +153,7 @@ func TestPlanCaseD_MSMruMFVictim(t *testing.T) {
 func TestPlanGhostMru(t *testing.T) {
 	tb := planFixture(t)
 	// Page 5 is the ghost; promoting it restores it to its own slot.
-	plan, err := BuildPlanN1(tb, 5, 1)
+	plan, err := planN1(tb, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +168,7 @@ func TestPlanGhostMru(t *testing.T) {
 
 func TestPlanGhostMruMFVictim(t *testing.T) {
 	tb := planFixture(t)
-	plan, err := BuildPlanN1(tb, 5, 2) // ghost MRU, MF victim (slot 2 holds 20)
+	plan, err := planN1(tb, 5, 2) // ghost MRU, MF victim (slot 2 holds 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +184,7 @@ func TestPlanGhostMruMFVictim(t *testing.T) {
 func TestPlanMSPartnerVictimCorner(t *testing.T) {
 	tb := planFixture(t)
 	// MRU = page 2 (MS) and the chosen victim is its own partner's slot.
-	plan, err := BuildPlanN1(tb, 2, 2)
+	plan, err := planN1(tb, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,23 +203,23 @@ func TestPlanMSPartnerVictimCorner(t *testing.T) {
 
 func TestPlanRejections(t *testing.T) {
 	tb := planFixture(t)
-	if _, err := BuildPlanN1(tb, 20, 1); err == nil {
+	if _, err := planN1(tb, 20, 1); err == nil {
 		t.Fatal("promoting an already-on-package (MF) page must fail")
 	}
-	if _, err := BuildPlanN1(tb, 0, 1); err == nil {
+	if _, err := planN1(tb, 0, 1); err == nil {
 		t.Fatal("promoting an OF page must fail")
 	}
-	if _, err := BuildPlanN1(tb, 30, 5); err == nil {
+	if _, err := planN1(tb, 30, 5); err == nil {
 		t.Fatal("the empty slot cannot be the victim")
 	}
-	if _, err := BuildPlanN1(tb, 30, 99); err == nil {
+	if _, err := planN1(tb, 30, 99); err == nil {
 		t.Fatal("out-of-range victim accepted")
 	}
 	nTable := newTestTable(t, 8, 64, false)
-	if _, err := BuildPlanN1(nTable, 30, 1); err == nil {
+	if _, err := planN1(nTable, 30, 1); err == nil {
 		t.Fatal("N-1 plan on a table without an empty slot accepted")
 	}
-	if _, err := BuildPlanN(tb, 30, 1); err == nil {
+	if _, err := planN(tb, 30, 1); err == nil {
 		t.Fatal("N plan on a table with an empty slot accepted")
 	}
 }
@@ -215,7 +227,7 @@ func TestPlanRejections(t *testing.T) {
 func TestPlanNCases(t *testing.T) {
 	tb := newTestTable(t, 8, 64, false)
 	// OF victim: one exchange.
-	plan, err := BuildPlanN(tb, 30, 1)
+	plan, err := planN(tb, 30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +239,7 @@ func TestPlanNCases(t *testing.T) {
 		t.Fatalf("page 30 -> (%d,%v)", mp, on)
 	}
 	// MF victim: restore exchange + promote exchange.
-	plan, err = BuildPlanN(tb, 40, 1) // slot 1 now holds 30 (MF)
+	plan, err = planN(tb, 40, 1) // slot 1 now holds 30 (MF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +254,7 @@ func TestPlanNCases(t *testing.T) {
 		t.Fatalf("page 30 -> (%d,%v), want restored home", mp, on)
 	}
 	// MS MRU: restoring is the promotion.
-	plan, err = BuildPlanN(tb, 1, 3) // page 1 is MS (partner 40 in slot 1)
+	plan, err = planN(tb, 1, 3) // page 1 is MS (partner 40 in slot 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +269,7 @@ func TestPlanNCases(t *testing.T) {
 // location after each table update.
 func TestPlanPendingBitTransitions(t *testing.T) {
 	tb := planFixture(t)
-	plan, err := BuildPlanN1(tb, 30, 2)
+	plan, err := planN1(tb, 30, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +279,7 @@ func TestPlanPendingBitTransitions(t *testing.T) {
 	}
 	// Step 1 complete: 30 now reachable on-package; the old empty slot's
 	// page (5) must still route to Ω via the P bit.
-	if err := plan.Steps[0].mutate(tb); err != nil {
+	if err := plan.Steps[0].apply(tb); err != nil {
 		t.Fatal(err)
 	}
 	if mp, on := tb.MachinePage(30); !on || mp != 5 {
@@ -280,7 +292,7 @@ func TestPlanPendingBitTransitions(t *testing.T) {
 		t.Fatalf("after step 1: page 5 -> (%d,%v), want Ω", mp, on)
 	}
 	// Step 2 complete: P cleared, page 5 now at 30's home.
-	if err := plan.Steps[1].mutate(tb); err != nil {
+	if err := plan.Steps[1].apply(tb); err != nil {
 		t.Fatal(err)
 	}
 	if tb.Pending(5) {
@@ -290,7 +302,7 @@ func TestPlanPendingBitTransitions(t *testing.T) {
 		t.Fatalf("after step 2: page 5 -> %d, want 30's home", mp)
 	}
 	// Step 3 complete: victim data in Ω, P(2) set; CAM for 20 still valid.
-	if err := plan.Steps[2].mutate(tb); err != nil {
+	if err := plan.Steps[2].apply(tb); err != nil {
 		t.Fatal(err)
 	}
 	if mp, on := tb.MachinePage(2); on || mp != tb.Omega() {
@@ -300,7 +312,7 @@ func TestPlanPendingBitTransitions(t *testing.T) {
 		t.Fatalf("after step 3: page 20 -> (%d,%v), CAM must keep working", mp, on)
 	}
 	// Step 4 complete: 20 home, slot 2 empty.
-	if err := plan.Steps[3].mutate(tb); err != nil {
+	if err := plan.Steps[3].apply(tb); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.CheckInvariants(); err != nil {

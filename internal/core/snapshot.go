@@ -147,8 +147,9 @@ func restoreTableSnapshot(d *snap.Decoder, n uint64) *TableSnapshot {
 
 // rewoundTo builds a detached read-only view of the table as it stood at
 // swap start: the snapshot's translation state over the current retirement
-// state (retirements never happen mid-swap). Plan builders run against this
-// view so a restored swap rebuilds the exact steps the original run built.
+// state (retirements never happen mid-swap). The plan builder runs against
+// this view so a restored swap rebuilds the exact steps the original run
+// built.
 func (t *Table) rewoundTo(ts *TableSnapshot) *Table {
 	tmp := &Table{
 		n:           t.n,
@@ -174,10 +175,11 @@ func (t *Table) rewoundTo(ts *TableSnapshot) *Table {
 }
 
 // SnapshotTo writes the migrator's dynamic state: the table, the hotness
-// trackers, the epoch counters, the in-flight swap (rebuilt on restore from
-// the swap-start snapshot, since plan steps carry closures), the live-fill
-// state, and the activity counters. Options and geometry are construction
-// inputs.
+// trackers, the epoch counters, the in-flight swap, the live-fill state,
+// and the activity counters. Options and geometry are construction inputs.
+// The swap is written as its MRU page, victim slot, step position and
+// swap-start table: the plan is a function of those, so restore rebuilds
+// it rather than reading its steps.
 func (m *Migrator) SnapshotTo(e *snap.Encoder) {
 	m.table.SnapshotTo(e)
 	m.mq.SnapshotTo(e)
@@ -363,16 +365,8 @@ func (m *Migrator) RestoreFrom(d *snap.Decoder) error {
 		if d.Err() != nil {
 			return d.Err()
 		}
-		var (
-			plan *Plan
-			err  error
-		)
-		if m.opt.Design == DesignN {
-			plan, err = BuildPlanN(m.table.rewoundTo(ts), mru, victim)
-		} else {
-			plan, err = BuildPlanN1(m.table.rewoundTo(ts), mru, victim)
-		}
-		if err != nil {
+		plan := &m.store
+		if err := plan.build(m.opt.Design, m.table.rewoundTo(ts), mru, victim); err != nil {
 			d.Invalid("cannot rebuild swap plan for page %d, victim %d: %v", mru, victim, err)
 			return d.Err()
 		}
@@ -388,8 +382,9 @@ func (m *Migrator) RestoreFrom(d *snap.Decoder) error {
 		// the live one, which the restored RAM direction cannot tell.
 		// Replaying the completed steps on the swap-start table can.
 		replay := m.table.rewoundTo(ts)
-		for _, st := range plan.Steps[:stepIdx] {
-			if err := st.mutate(replay); err != nil {
+		for i := range plan.Steps[:stepIdx] {
+			st := &plan.Steps[i]
+			if err := st.apply(replay); err != nil {
 				d.Invalid("replaying swap step %q: %v", st.Label, err)
 				return d.Err()
 			}
@@ -404,7 +399,7 @@ func (m *Migrator) RestoreFrom(d *snap.Decoder) error {
 	}
 
 	m.fill.active = d.Bool()
-	m.fill.phys, m.fill.dstSlot, m.fill.old, m.fill.done = 0, 0, 0, nil
+	m.fill.phys, m.fill.dstSlot, m.fill.old = 0, 0, 0
 	if d.Err() != nil {
 		return d.Err()
 	}
@@ -420,7 +415,6 @@ func (m *Migrator) RestoreFrom(d *snap.Decoder) error {
 			d.Invalid("fill bitmap has %d bits, page has %d sub-blocks", nd, m.SubBlocksPerPage())
 			return d.Err()
 		}
-		m.fill.done = make([]bool, nd)
 		for i := range m.fill.done {
 			m.fill.done[i] = d.Bool()
 		}

@@ -201,9 +201,9 @@ func TestTableRandomSwapsKeepInvariants(t *testing.T) {
 		if victim == tb.EmptyRow() {
 			continue
 		}
-		plan, err := BuildPlanN1(tb, m, victim)
+		plan, err := planN1(tb, m, victim)
 		if err != nil {
-			t.Fatalf("iter %d: BuildPlanN1(m=%d,victim=%d): %v", iter, m, victim, err)
+			t.Fatalf("iter %d: planN1(m=%d,victim=%d): %v", iter, m, victim, err)
 		}
 		for _, st := range plan.Steps {
 			// Execute the copy on the shadow data map.
@@ -212,8 +212,8 @@ func TestTableRandomSwapsKeepInvariants(t *testing.T) {
 				t.Fatalf("iter %d: step %q copies from machine page %d which holds no data", iter, st.Label, st.Src)
 			}
 			data[st.Dst] = pg
-			if err := st.mutate(tb); err != nil {
-				t.Fatalf("iter %d: step %q mutate: %v", iter, st.Label, err)
+			if err := st.apply(tb); err != nil {
+				t.Fatalf("iter %d: step %q apply: %v", iter, st.Label, err)
 			}
 		}
 		if err := tb.CheckInvariants(); err != nil {
@@ -252,12 +252,12 @@ func TestTableTranslationBijective(t *testing.T) {
 			if v == tb.EmptyRow() {
 				continue
 			}
-			plan, err := BuildPlanN1(tb, m, v)
+			plan, err := planN1(tb, m, v)
 			if err != nil {
 				return false
 			}
 			for _, st := range plan.Steps {
-				if err := st.mutate(tb); err != nil {
+				if err := st.apply(tb); err != nil {
 					return false
 				}
 			}

@@ -219,65 +219,70 @@ func TestHubValidation(t *testing.T) {
 }
 
 // TestHubZeroAllocAccess is the allocation gate for the sharded access
-// path, for 1, 2, and 4 channels. After a warm pass it drives 2^20
-// migrating accesses and counts every heap allocation through
-// runtime.MemStats.Mallocs (testing.AllocsPerRun truncates its average to
-// an integer, so it reads 0 at 0.03 allocations per access). The data path
-// itself allocates nothing; what remains is per swap: building the plan
-// (the Plan, its step list and step closures), each step's copy list and
-// live-fill bitmap, plus the rare first growth of a scheduler queue or
-// freelist past its deepest backlog so far. The gate bounds that remainder
-// by completed swap steps. TestSteadyStateQueuesDoNotAllocate in
-// internal/sched checks the queues alone at exactly zero.
+// path: for every migration design on 1, 2 and 4 channels, after a warm
+// pass it drives 2^20 migrating accesses and counts every heap allocation
+// through runtime.MemStats.Mallocs (testing.AllocsPerRun truncates its
+// average to an integer, so it would read 0 at 0.03 allocations per
+// access). Neither the data path nor a swap allocates: the plan, its copy
+// lists and the live-fill bitmap reuse the migrator's storage and the step
+// state is recycled. What remains is the first growth of a scheduler
+// queue or freelist past its deepest backlog so far, which the gate bounds
+// by a constant. The window must complete more swap steps than that
+// constant, so even one allocation per step fails it.
+// TestSteadyStateQueuesDoNotAllocate in internal/sched checks the queues
+// alone at exactly zero.
 func TestHubZeroAllocAccess(t *testing.T) {
-	const perStep = 5
+	const growth = 64
 	// As testing.AllocsPerRun does: one P, so no other goroutine's
 	// allocation lands in the count.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, channels := range []int{1, 2, 4} {
-		cfg := hubConfig()
-		regs := make([]*obs.Registry, channels)
-		for i := range regs {
-			regs[i] = obs.NewRegistry()
-		}
-		hub, err := NewHub(cfg, HubConfig{Channels: channels, ShardObs: regs}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		steps := func() uint64 {
-			var n uint64
-			for _, reg := range regs {
-				n += reg.Counter("memctrl.swap.steps").Value()
+	for _, design := range []core.Design{core.DesignN, core.DesignN1, core.DesignLive} {
+		for _, channels := range []int{1, 2, 4} {
+			cfg := hubConfig()
+			cfg.Migration.Design = design
+			regs := make([]*obs.Registry, channels)
+			for i := range regs {
+				regs[i] = obs.NewRegistry()
 			}
-			return n
-		}
-		recs := hubTrace(1<<15, cfg.Geometry.TotalCapacity)
-		cycle := int64(0)
-		drive := func(n int) {
-			for i := 0; i < n; i++ {
-				r := recs[i&(len(recs)-1)]
-				cycle += 17
-				if err := hub.Access(r.a, r.write, cycle); err != nil {
-					t.Fatal(err)
+			hub, err := NewHub(cfg, HubConfig{Channels: channels, ShardObs: regs}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps := func() uint64 {
+				var n uint64
+				for _, reg := range regs {
+					n += reg.Counter("memctrl.swap.steps").Value()
+				}
+				return n
+			}
+			recs := hubTrace(1<<15, cfg.Geometry.TotalCapacity)
+			cycle := int64(0)
+			drive := func(n int) {
+				for i := 0; i < n; i++ {
+					r := recs[i&(len(recs)-1)]
+					cycle += 17
+					if err := hub.Access(r.a, r.write, cycle); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-		}
-		// Warm pass: freelists and queue buffers fill, swaps complete.
-		drive(1 << 19)
-		steps0 := steps()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		mallocs0 := ms.Mallocs
-		drive(1 << 20)
-		runtime.ReadMemStats(&ms)
-		mallocs := ms.Mallocs - mallocs0
-		stepsDone := steps() - steps0
-		if stepsDone == 0 {
-			t.Fatalf("channels=%d: no swap step completed; the gate needs a migrating run", channels)
-		}
-		if mallocs > perStep*stepsDone {
-			t.Fatalf("channels=%d: %d mallocs over %d completed swap steps, want at most %d per step",
-				channels, mallocs, stepsDone, perStep)
+			// Warm pass: freelists and queue buffers fill, swaps complete.
+			drive(1 << 20)
+			steps0 := steps()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mallocs0 := ms.Mallocs
+			drive(1 << 20)
+			runtime.ReadMemStats(&ms)
+			mallocs := ms.Mallocs - mallocs0
+			stepsDone := steps() - steps0
+			if stepsDone <= growth {
+				t.Fatalf("%v channels=%d: %d swap steps completed; the gate needs more than %d", design, channels, stepsDone, growth)
+			}
+			if mallocs > growth {
+				t.Fatalf("%v channels=%d: %d mallocs over %d completed swap steps, want at most %d in all",
+					design, channels, mallocs, stepsDone, growth)
+			}
 		}
 	}
 }

@@ -15,19 +15,10 @@ func SeqMaker(stride uint64) func(*rng.Rand, uint64) stream {
 }
 
 // StridedMaker returns a Component.Make for a transposed-dimension walk
-// touching 64 B per stride position; use StridedChunkMaker for wider
-// per-position touches.
+// touching 64 B per stride position.
 func StridedMaker(stride, unit uint64) func(*rng.Rand, uint64) stream {
 	return func(_ *rng.Rand, region uint64) stream {
 		return &stridedStream{size: region, stride: stride, unit: unit}
-	}
-}
-
-// StridedChunkMaker is StridedMaker with `chunk` contiguous bytes touched
-// at each stride position.
-func StridedChunkMaker(stride, unit, chunk uint64) func(*rng.Rand, uint64) stream {
-	return func(_ *rng.Rand, region uint64) stream {
-		return &stridedStream{size: region, stride: stride, unit: unit, chunk: chunk}
 	}
 }
 
