@@ -52,14 +52,22 @@ func canonical(t *testing.T, r Result) []byte {
 }
 
 // TestResumeEquivalence is the subsystem's correctness contract: for every
-// design, with fault injection off and on, a run resumed from ANY
-// checkpoint boundary produces a Result byte-identical (canonical JSON) to
-// the uninterrupted run.
+// design, with fault injection off and on, and under the fault-ladder
+// campaign (whose boundaries also fall after rollbacks, slot retirements
+// and degraded mode), a run resumed from ANY checkpoint boundary produces
+// a Result byte-identical (canonical JSON) to the uninterrupted run.
 func TestResumeEquivalence(t *testing.T) {
 	for _, design := range []core.Design{core.DesignN, core.DesignN1, core.DesignLive} {
-		for _, faults := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/faults=%v", design, faults), func(t *testing.T) {
-				cfg := equivConfig(design, faults)
+		for _, tc := range []struct {
+			name string
+			cfg  Config
+		}{
+			{"faults=false", equivConfig(design, false)},
+			{"faults=true", equivConfig(design, true)},
+			{"ladder", ladderConfig(1, design)},
+		} {
+			t.Run(fmt.Sprintf("%v/%s", design, tc.name), func(t *testing.T) {
+				cfg := tc.cfg
 
 				base, err := Run(equivSource(t), cfg)
 				if err != nil {
@@ -67,8 +75,8 @@ func TestResumeEquivalence(t *testing.T) {
 				}
 				want := canonical(t, base)
 
-				// Checkpoint frequently so boundaries land mid-swap,
-				// mid-rollback, and inside the warmup phase.
+				// Checkpoint frequently so boundaries land mid-swap and
+				// inside the warmup phase.
 				cps := map[uint64][]byte{}
 				ckCfg := cfg
 				ckCfg.CheckpointEvery = 1_000
